@@ -15,10 +15,12 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .errors import AnalysisError, ConfigError, DataError
 from .metrics import ExposureTable, group_mean_exposure, top_k
 from .model import AuthorId, LEAN_UNKNOWN
-from .mwu import MODE_AUTO, mann_whitney_u
+from .mwu import MODE_AUTO, mann_whitney_u, mann_whitney_u_many
 
 
 def amplification_ratio(partisan_mean: float, baseline_mean: float) -> float:
@@ -40,6 +42,20 @@ class AmplificationRow:
     statistic: float
     pvalue: float
     significant: bool
+
+
+def _exposure_matrix(
+    tables: Sequence[ExposureTable], index: Mapping[AuthorId, int]
+) -> np.ndarray:
+    """(authors x monitors) exposures of the authors in ``index``, row
+    ``index[author]``; a monitor that never saw an author contributes 0."""
+    out = np.zeros((len(index), len(tables)))
+    for j, t in enumerate(tables):
+        for author, exposure in t.entries.items():
+            i = index.get(author)
+            if i is not None:
+                out[i, j] = exposure
+    return out
 
 
 def build_amplification_report(
@@ -80,13 +96,16 @@ def build_amplification_report(
         / (n_part + n_base)
         for a in set(partisan_means) | set(baseline_means)
     }
+    candidates = {author: i for i, (author, _) in enumerate(top_k(pooled, top))}
+    tests = mann_whitney_u_many(
+        _exposure_matrix(partisan_tables, candidates),
+        _exposure_matrix(baseline_tables, candidates),
+        mode=mode,
+    )
     rows = []
-    for author, _ in top_k(pooled, top):
-        a_samples = [t.get(author) for t in partisan_tables]
-        b_samples = [t.get(author) for t in baseline_tables]
+    for author, res in zip(candidates, tests):
         p_mean = partisan_means.get(author, 0.0)
         b_mean = baseline_means.get(author, 0.0)
-        res = mann_whitney_u(a_samples, b_samples, mode=mode)
         rows.append(
             AmplificationRow(
                 author_id=author,

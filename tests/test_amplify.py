@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,8 @@ from feedaudit import (
     amplification_ratio,
     build_amplification_report,
     group_amplification_magnitude,
+    group_mean_exposure,
+    mann_whitney_u,
 )
 
 
@@ -150,6 +153,64 @@ class TestBuildReport:
             build_amplification_report([t, t], [t, t], top=0)
         with pytest.raises(ConfigError):
             build_amplification_report([t, t], [t, t], alpha=1.5)
+
+
+def per_author_report(part, base, leans, alpha=0.05):
+    """Every observed author tested on its own: samples from
+    ExposureTable.get, one mann_whitney_u call per author."""
+    p_means, b_means = group_mean_exposure(part), group_mean_exposure(base)
+    rows = []
+    for author in set(p_means) | set(b_means):
+        a_samples = [t.get(author) for t in part]
+        b_samples = [t.get(author) for t in base]
+        res = mann_whitney_u(a_samples, b_samples)
+        p_mean, b_mean = p_means.get(author, 0.0), b_means.get(author, 0.0)
+        rows.append(
+            AmplificationRow(
+                author_id=author,
+                lean_label=leans.get(author, "unknown"),
+                partisan_mean=p_mean,
+                baseline_mean=b_mean,
+                ratio_pct=amplification_ratio(p_mean, b_mean),
+                statistic=res.statistic,
+                pvalue=res.pvalue,
+                significant=res.pvalue < alpha,
+            )
+        )
+    rows.sort(key=lambda r: (-r.ratio_pct, r.author_id))
+    return tuple(rows)
+
+
+class TestAgainstPerAuthorLoop:
+    # The 600-odd observed authors span three blocks of the batched
+    # Mann-Whitney kernel. With 5 and 7 monitors auto takes the exact path on tie-free
+    # authors; with 12 and 10 every test is normal.
+    @pytest.mark.parametrize("n_part,n_base", [(5, 7), (12, 10)])
+    def test_all_observed_authors(self, n_part, n_base):
+        rng = np.random.default_rng(n_part * 100 + n_base)
+        authors = [f"u{i:04d}" for i in range(700)]
+        # Authors every monitor sees have tie-free samples; the rest are
+        # heavy-zero and tied.
+        seen = rng.choice([0.1, 0.4, 1.0], size=len(authors))
+
+        def tables(prefix, count, shift):
+            out = []
+            for j in range(count):
+                entries = {
+                    a: shift + rng.exponential()
+                    for a, p in zip(authors, seen)
+                    if rng.random() < p
+                }
+                out.append(_table(f"{prefix}{j}", entries))
+            return out
+
+        part = tables("p", n_part, 0.5)
+        base = tables("b", n_base, 0.0)
+        leans = {a: "left" for a in authors[::3]}
+        observed = {a for t in (*part, *base) for a in t.entries}
+        rows = build_amplification_report(part, base, top=len(observed), leans=leans)
+        assert {r.author_id for r in rows} == observed
+        assert rows == per_author_report(part, base, leans)
 
 
 class TestMagnitude:

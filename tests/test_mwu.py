@@ -19,9 +19,11 @@ from feedaudit import (
     AnalysisError,
     ConfigError,
     DataError,
+    MODE_AUTO,
     MODE_EXACT,
     MODE_NORMAL,
     mann_whitney_u,
+    mann_whitney_u_many,
 )
 
 
@@ -64,6 +66,48 @@ def oracle_exact(sample_a, sample_b):
             at_or_above += 1
     p = 2 * Fraction(min(at_or_below, at_or_above), total)
     return min(u_a, n * m - u_a), min(p, Fraction(1))
+
+
+def reference_normal_pvalue(sample_a, sample_b):
+    """Tie-corrected normal p-value with Edgeworth term, row by row.
+
+    Loop midranks and np.unique tie counts, in the same arithmetic order
+    as the implementation, so results must agree bit for bit.
+    """
+    n, m = len(sample_a), len(sample_b)
+    big_n = n + m
+    ranks = midranks(list(sample_a) + list(sample_b))
+    u_a = float(sum(ranks[:n])) - 0.5 * n * (n + 1)
+    big_u = max(u_a, n * m - u_a)
+    _, tie_counts = np.unique(ranks, return_counts=True)
+    tie_term = float(((tie_counts**3) - tie_counts).sum())
+    var = (n * m / 12.0) * ((big_n + 1.0) - tie_term / (big_n * (big_n - 1.0)))
+    if var <= 0.0:
+        return 1.0
+    z = (big_u - 0.5 * n * m - 0.5) / math.sqrt(var)
+    g2 = -1.2 * (n * n + m * m + n * m + n + m) / (n * m * (big_n + 1.0))
+    tail = 0.5 * math.erfc(z / math.sqrt(2.0))
+    tail += (g2 / 24.0) * (z**3 - 3.0 * z) * math.exp(-0.5 * z * z) * (
+        1.0 / math.sqrt(2.0 * math.pi)
+    )
+    return min(1.0, 2.0 * min(max(tail, 0.0), 1.0))
+
+
+def mixed_rows(seed, k, n, m):
+    """(k, n) and (k, m) samples cycling through heavy-zero tied rows,
+    tie-free rows and rows whose pooled values are all identical."""
+    rng = np.random.default_rng(seed)
+    a, b = np.empty((k, n)), np.empty((k, m))
+    for i in range(k):
+        kind = i % 3
+        if kind == 0:
+            row = np.where(rng.random(n + m) < 0.75, 0.0, rng.integers(1, 4, n + m))
+        elif kind == 1:
+            row = rng.permutation(n + m) + rng.normal(scale=0.01)
+        else:
+            row = np.full(n + m, 2.5)
+        a[i], b[i] = row[:n], row[n:]
+    return a, b
 
 
 class TestFrozenCases:
@@ -153,6 +197,67 @@ class TestNormalApproximation:
             b = rng.normal(size=rng.integers(2, 20)).tolist()
             p = mann_whitney_u(a, b, mode=MODE_NORMAL).pvalue
             assert 0.0 <= p <= 1.0
+
+
+class TestBatched:
+    # k = 600 spans three blocks of the batched kernel.
+    @pytest.mark.parametrize("mode", [MODE_AUTO, MODE_EXACT, MODE_NORMAL])
+    @pytest.mark.parametrize("n,m,k", [(6, 9, 600), (9, 6, 7), (4, 4, 1)])
+    def test_rows_equal_single_test(self, mode, n, m, k):
+        a, b = mixed_rows(10 * n + m, k, n, m)
+        results = mann_whitney_u_many(a, b, mode=mode)
+        assert len(results) == k
+        methods = set()
+        for i, res in enumerate(results):
+            single = mann_whitney_u(a[i].tolist(), b[i].tolist(), mode=mode)
+            assert res.statistic == single.statistic
+            assert res.pvalue == single.pvalue
+            assert res.method == single.method
+            methods.add(res.method)
+        if mode == MODE_AUTO and k > 1:
+            assert methods == {MODE_EXACT, MODE_NORMAL}
+        if k > 2:
+            assert any(res.pvalue == 1.0 for res in results[2::3])
+
+    @pytest.mark.parametrize("mode", [MODE_AUTO, MODE_NORMAL])
+    def test_large_rows_equal_reference(self, mode):
+        a, b = mixed_rows(11, 600, 30, 25)
+        for i, res in enumerate(mann_whitney_u_many(a, b, mode=mode)):
+            assert res == mann_whitney_u(a[i].tolist(), b[i].tolist(), mode=mode)
+            assert res.method == MODE_NORMAL
+            assert res.pvalue == reference_normal_pvalue(a[i].tolist(), b[i].tolist())
+
+    def test_empty_batch(self):
+        empty = np.empty((0, 15))
+        assert mann_whitney_u_many(empty, empty, MODE_EXACT) == ()
+
+    def test_shape_errors(self):
+        with pytest.raises(ConfigError):
+            mann_whitney_u_many(np.zeros((3, 4)), np.zeros((2, 4)))
+        with pytest.raises(ConfigError):
+            mann_whitney_u_many(np.zeros(4), np.zeros(4))
+        with pytest.raises(ConfigError):
+            mann_whitney_u_many(np.zeros((2, 3, 4)), np.zeros((2, 3, 4)))
+        with pytest.raises(ConfigError):
+            mann_whitney_u_many(np.zeros((2, 4)), np.zeros((2, 4)), mode="bootstrap")
+
+    def test_data_errors(self):
+        with pytest.raises(DataError):
+            mann_whitney_u_many(np.zeros((2, 0)), np.zeros((2, 3)))
+        with pytest.raises(DataError):
+            mann_whitney_u_many(np.zeros((2, 3)), np.zeros((2, 0)))
+        bad = np.zeros((300, 3))
+        bad[299, 1] = np.nan
+        with pytest.raises(DataError):
+            mann_whitney_u_many(np.zeros((300, 3)), bad)
+        bad[299, 1] = -np.inf
+        with pytest.raises(DataError):
+            mann_whitney_u_many(bad, np.zeros((300, 3)))
+
+    def test_exact_infeasible(self):
+        a, b = mixed_rows(12, 2, 15, 15)  # C(30, 15) ~ 1.55e8 > 1e7
+        with pytest.raises(AnalysisError):
+            mann_whitney_u_many(a, b, mode=MODE_EXACT)
 
 
 class TestSymmetry:
