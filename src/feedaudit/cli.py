@@ -13,7 +13,9 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import inspect
 import json
 import sys
 from datetime import datetime
@@ -29,7 +31,7 @@ from .amplify import (
 )
 from .decay import DecayModel, attention_residual, calibrate
 from .errors import AnalysisError, ConfigError, DataError, FeedAuditError
-from .inequality import average_lorenz, gini, group_gini_distribution, lorenz
+from .inequality import GiniReport, average_lorenz, group_gini_distribution, lorenz
 from .metrics import (
     ExposureTable,
     build_exposure_table,
@@ -38,55 +40,24 @@ from .metrics import (
     top_k,
 )
 from .model import GROUP_ORDER, GroupLabel, SessionRecord, ensure_utc
-from .simkit import FleetConfig, LeanMixture, RankerParams, build_world, make_monitors, run_fleet
+from .simkit import (
+    FleetConfig,
+    LeanMixture,
+    RankerParams,
+    build_world,
+    lean_labels,
+    make_monitors,
+    run_fleet,
+)
 from .store import (
+    _render,
     dataset_stats,
     emit_report,
-    format_float,
     read_authors,
     read_sessions,
     write_authors,
     write_sessions,
 )
-
-_ALLOWED_KEYS: dict[str, set[str] | None] = {
-    "seed": None,
-    "world": {"n_authors", "zipf_exponent", "preset_pools", "lean_mixture", "seed"},
-    "ranker": {
-        "popularity_exponent",
-        "alignment_strength",
-        "default_lean",
-        "oon_mix",
-        "promoted_rate",
-        "retweet_rate",
-        "quote_rate",
-        "rank_jitter",
-        "seed",
-    },
-    "fleet": {
-        "monitors_per_group",
-        "sessions_per_day",
-        "duration_days",
-        "session_length",
-        "start",
-        "neutral_churn_days",
-        "follows_moderate",
-        "follows_strong",
-        "balanced_per_side",
-    },
-    "decay": {"top_fraction", "attention_fraction", "amplitude"},
-    "analysis": {
-        "scope",
-        "attribution",
-        "include_promoted",
-        "top",
-        "alpha_amplify",
-        "alpha_gini",
-        "mw_mode",
-        "lean_threshold",
-        "lorenz_grid",
-    },
-}
 
 _ANALYSIS_DEFAULTS: dict[str, Any] = {
     "scope": "out-of-network",
@@ -104,6 +75,16 @@ _DECAY_DEFAULTS: dict[str, Any] = {
     "top_fraction": 0.2,
     "attention_fraction": 0.7,
     "amplitude": None,
+}
+
+# Config sections accept exactly the parameters of what they configure.
+_ALLOWED_KEYS: dict[str, set[str] | None] = {
+    "seed": None,
+    "world": set(inspect.signature(build_world).parameters),
+    "ranker": {f.name for f in dataclasses.fields(RankerParams)},
+    "fleet": {f.name for f in dataclasses.fields(FleetConfig)},
+    "decay": set(_DECAY_DEFAULTS),
+    "analysis": set(_ANALYSIS_DEFAULTS),
 }
 
 
@@ -140,7 +121,7 @@ def load_config(path: str | None) -> dict[str, Any]:
         if not isinstance(mixture, dict):
             raise ConfigError("world.lean_mixture must be an object")
         for sub in mixture:
-            if sub not in {"weights", "means", "stds"}:
+            if sub not in {f.name for f in dataclasses.fields(LeanMixture)}:
                 raise ConfigError(f"unknown config key 'world'.'lean_mixture'.{sub!r}")
     return cfg
 
@@ -163,11 +144,7 @@ def build_sim_objects(
         wcfg = dict(cfg.get("world", {}))
         mixture = wcfg.pop("lean_mixture", None)
         if mixture is not None:
-            wcfg["lean_mixture"] = LeanMixture(
-                weights=tuple(mixture.get("weights", LeanMixture.weights)),
-                means=tuple(mixture.get("means", LeanMixture.means)),
-                stds=tuple(mixture.get("stds", LeanMixture.stds)),
-            )
+            wcfg["lean_mixture"] = LeanMixture(**{k: tuple(v) for k, v in mixture.items()})
         wcfg.setdefault("seed", seed)
         world = build_world(**wcfg)
 
@@ -184,6 +161,26 @@ def build_sim_objects(
     return world, fleet, params
 
 
+def _typed(section: str, defaults: Mapping[str, Any], out: dict[str, Any]) -> dict[str, Any]:
+    """Check each option against its default's JSON type and return ``out``.
+
+    A float default also takes an int; a None default takes any number
+    or null.
+    """
+    for key, default in defaults.items():
+        value = out[key]
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        if default is None:
+            ok = value is None or number
+        elif isinstance(default, float):
+            ok = number
+        else:
+            ok = type(value) is type(default)
+        if not ok:
+            raise ConfigError(f"bad type for {section}.{key}: {value!r} (default {default!r})")
+    return out
+
+
 def analysis_options(
     cfg: Mapping[str, Any], args: argparse.Namespace | None = None
 ) -> dict[str, Any]:
@@ -194,18 +191,26 @@ def analysis_options(
             out["scope"] = args.scope
         if getattr(args, "attribution", None):
             out["attribution"] = args.attribution
+    _typed("analysis", _ANALYSIS_DEFAULTS, out)
     if out["mw_mode"] not in ("auto", "exact", "normal"):
         raise ConfigError(f"analysis.mw_mode must be auto/exact/normal, got {out['mw_mode']!r}")
+    if not 0.0 < out["lean_threshold"] < 1.0:
+        raise ConfigError(f"analysis.lean_threshold must be in (0, 1), got {out['lean_threshold']!r}")
     return out
 
 
 def decay_options(cfg: Mapping[str, Any]) -> dict[str, Any]:
-    return {**_DECAY_DEFAULTS, **cfg.get("decay", {})}
+    return _typed("decay", _DECAY_DEFAULTS, {**_DECAY_DEFAULTS, **cfg.get("decay", {})})
 
 
-def _group_sessions(
+def _analyze(
     sessions: Sequence[SessionRecord],
-) -> dict[GroupLabel, dict[str, list[SessionRecord]]]:
+    decay_cfg: Mapping[str, Any],
+    analysis: Mapping[str, Any],
+) -> tuple[dict[GroupLabel, DecayModel], dict[GroupLabel, list[ExposureTable]]]:
+    """Group sessions by group and monitor, calibrate one decay model per
+    group to its mean session length, and build each monitor's exposure
+    table. Every analysis renders from these tables."""
     grouped: dict[GroupLabel, dict[str, list[SessionRecord]]] = {}
     ungrouped = 0
     for s in sessions:
@@ -217,14 +222,7 @@ def _group_sessions(
         print(f"note: ignoring {ungrouped} sessions without a group label", file=sys.stderr)
     if not grouped:
         raise DataError("no group-labeled sessions to analyze")
-    return grouped
-
-
-def _calibrated_models(
-    grouped: Mapping[GroupLabel, Mapping[str, Sequence[SessionRecord]]],
-    decay_cfg: Mapping[str, Any],
-) -> dict[GroupLabel, DecayModel]:
-    models = {}
+    models: dict[GroupLabel, DecayModel] = {}
     for group, monitors in grouped.items():
         lengths = [len(s) for sess in monitors.values() for s in sess]
         mean_len = round(sum(lengths) / len(lengths))
@@ -236,17 +234,8 @@ def _calibrated_models(
             decay_cfg["attention_fraction"],
             decay_cfg["amplitude"],
         )
-    return models
-
-
-def _exposure_tables(
-    grouped: Mapping[GroupLabel, Mapping[str, Sequence[SessionRecord]]],
-    models: Mapping[GroupLabel, DecayModel],
-    analysis: Mapping[str, Any],
-) -> dict[GroupLabel, list[ExposureTable]]:
-    tables: dict[GroupLabel, list[ExposureTable]] = {}
-    for group, monitors in grouped.items():
-        tables[group] = [
+    tables = {
+        group: [
             build_exposure_table(
                 monitors[mid],
                 models[group],
@@ -256,7 +245,9 @@ def _exposure_tables(
             )
             for mid in sorted(monitors)
         ]
-    return tables
+        for group, monitors in grouped.items()
+    }
+    return models, tables
 
 
 def _read_with_filters(args: argparse.Namespace):
@@ -267,6 +258,13 @@ def _read_with_filters(args: argparse.Namespace):
         start=_parse_cli_ts(args.start) if getattr(args, "start", None) else None,
         end=_parse_cli_ts(args.end) if getattr(args, "end", None) else None,
     )
+
+
+def _emit(args: argparse.Namespace, rows: Sequence[Mapping[str, Any]]) -> None:
+    """Write ``rows`` to --out in --format, when --out is given."""
+    if args.out:
+        emit_report(rows, args.out, fmt=args.format)
+        print(f"wrote {args.out}")
 
 
 def _jsonable(value: Any) -> Any:
@@ -280,9 +278,7 @@ def _jsonable(value: Any) -> Any:
         return ensure_utc(value).isoformat().replace("+00:00", "Z")
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if isinstance(value, float):
-        return float(format_float(value))
-    return value
+    return _render(value)
 
 
 # ---------------------------------------------------------------- commands
@@ -301,7 +297,7 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
         "visibility_rank_last": model.visibility(model.reference_length),
     }
     if args.json:
-        print(json.dumps({k: _jsonable(v) for k, v in payload.items()}, indent=2))
+        print(json.dumps(_jsonable(payload), indent=2))
     else:
         print(
             f"p(r) = {model.amplitude:.6g} * exp(-{model.rate:.6g} * r)  "
@@ -312,19 +308,32 @@ def cmd_calibrate(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
+def _with_seed(cfg: dict[str, Any], seed: int | None) -> dict[str, Any]:
+    """Apply a --seed override; it also replaces per-section seeds."""
+    if seed is not None:
+        cfg["seed"] = seed
         cfg.setdefault("world", {}).pop("seed", None)
         cfg.setdefault("ranker", {}).pop("seed", None)
+    return cfg
+
+
+def _simulate(cfg: Mapping[str, Any]) -> tuple[Any, list[SessionRecord]]:
+    world, fleet, params = build_sim_objects(cfg)
+    return world, run_fleet(world, fleet, params, make_monitors(world, fleet, params.seed))
+
+
+def _roster_labels(path: str | None) -> dict[str, str]:
+    """Author id -> lean label from a roster file; empty without one."""
+    return {a: info.label for a, info in read_authors(path).items()} if path else {}
+
+
+def cmd_simulate(args: argparse.Namespace) -> int:
+    cfg = _with_seed(load_config(args.config), args.seed)
     if args.days is not None:
         cfg.setdefault("fleet", {})["duration_days"] = args.days
     if args.monitors is not None:
         cfg.setdefault("fleet", {})["monitors_per_group"] = args.monitors
-    world, fleet, params = build_sim_objects(cfg)
-    monitors = make_monitors(world, fleet, params.seed)
-    sessions = run_fleet(world, fleet, params, monitors)
+    world, sessions = _simulate(cfg)
     n = write_sessions(sessions, args.out)
     tweets = sum(len(s) for s in sessions)
     print(f"wrote {n} sessions ({tweets} tweets) to {args.out}")
@@ -348,38 +357,13 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stats_rows(sessions: Sequence[SessionRecord]) -> list[dict[str, Any]]:
-    stats = dataset_stats(sessions)
-    rows = []
-    for g in stats.groups:
-        rows.append(
-            {
-                "group": g.group,
-                "monitors": g.monitors,
-                "sessions": g.sessions,
-                "tweets": g.tweets,
-                "oon_mean": g.oon_mean,
-                "oon_std": g.oon_std,
-                "retweet_mean": g.retweet_mean,
-                "retweet_std": g.retweet_std,
-                "quote_mean": g.quote_mean,
-                "quote_std": g.quote_std,
-                "promoted_mean": g.promoted_mean,
-                "promoted_std": g.promoted_std,
-            }
-        )
-    return rows
-
-
 def cmd_stats(args: argparse.Namespace) -> int:
     res = _read_with_filters(args)
     if not res.sessions:
         raise DataError("no valid sessions after filtering")
-    rows = _stats_rows(res.sessions)
-    if args.out:
-        emit_report(rows, args.out, fmt=args.format)
-        print(f"wrote {args.out}")
-    else:
+    rows = [dataclasses.asdict(g) for g in dataset_stats(res.sessions).groups]
+    _emit(args, rows)
+    if not args.out:
         for r in rows:
             print(
                 f"{r['group']:<9} monitors={r['monitors']:<3} sessions={r['sessions']:<5} "
@@ -391,20 +375,31 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def _prepare_tables(args: argparse.Namespace, cfg: Mapping[str, Any]):
+def _prepare_tables(
+    args: argparse.Namespace,
+) -> tuple[dict[str, Any], dict[GroupLabel, list[ExposureTable]]]:
+    cfg = load_config(args.config)
+    analysis = analysis_options(cfg, args)
+    decay_cfg = decay_options(cfg)
     res = _read_with_filters(args)
     if not res.sessions:
         raise DataError("no valid sessions after filtering")
-    grouped = _group_sessions(res.sessions)
-    models = _calibrated_models(grouped, decay_options(cfg))
-    analysis = analysis_options(cfg, args)
-    tables = _exposure_tables(grouped, models, analysis)
-    return res, grouped, models, analysis, tables
+    return analysis, _analyze(res.sessions, decay_cfg, analysis)[1]
+
+
+def _gini_rows(
+    tables: Mapping[GroupLabel, Sequence[ExposureTable]], report: GiniReport
+) -> list[dict[str, Any]]:
+    return [
+        {"group": group.value, "monitor_id": t.monitor_id, "gini": g}
+        for group in GROUP_ORDER
+        if group in tables
+        for t, g in zip(tables[group], report.per_group[group.value])
+    ]
 
 
 def cmd_gini(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    _, _, _, analysis, tables = _prepare_tables(args, cfg)
+    analysis, tables = _prepare_tables(args)
     alpha = args.alpha if args.alpha is not None else analysis["alpha_gini"]
     report = group_gini_distribution(tables, alpha=alpha, mode=analysis["mw_mode"])
     medians = report.medians()
@@ -418,15 +413,7 @@ def cmd_gini(args: argparse.Namespace) -> int:
         print(
             f"{c.group_a} vs {c.group_b}: U={c.statistic:g} p={c.pvalue:.4g}{flag} ({c.method})"
         )
-    if args.out:
-        rows = [
-            {"group": group.value, "monitor_id": t.monitor_id, "gini": g}
-            for group in GROUP_ORDER
-            if group in tables
-            for t, g in zip(tables[group], report.per_group[group.value])
-        ]
-        emit_report(rows, args.out, fmt=args.format)
-        print(f"wrote {args.out}")
+    _emit(args, _gini_rows(tables, report))
     return 0
 
 
@@ -447,11 +434,8 @@ def _lorenz_rows(
 
 
 def cmd_lorenz(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    _, _, _, analysis, tables = _prepare_tables(args, cfg)
-    rows = _lorenz_rows(tables, analysis["lorenz_grid"])
-    emit_report(rows, args.out, fmt=args.format)
-    print(f"wrote {args.out}")
+    analysis, tables = _prepare_tables(args)
+    _emit(args, _lorenz_rows(tables, analysis["lorenz_grid"]))
     return 0
 
 
@@ -465,34 +449,34 @@ def _topk_rows(
         raise DataError(f"no sessions for group {group.value}")
     means = group_mean_exposure(tables[group])
     return [
-        {
-            "group": group.value,
-            "author_id": a,
-            "mean_exposure": e,
-            "lean_label": labels.get(a, "unknown"),
-        }
+        {"group": group.value, "author_id": a, "mean_exposure": e, "lean_label": labels.get(a, "unknown")}
         for a, e in top_k(means, k)
     ]
 
 
+def _shares(
+    tables: Sequence[ExposureTable], k: int, labels: Mapping[str, str]
+) -> dict[str, float]:
+    """Share of one group's top-k exposure mass held by left- and by
+    right-leaning authors."""
+    means = group_mean_exposure(tables)
+    return {
+        side: exposure_share(means, k, lambda l, s=side: l == s, labels)
+        for side in ("left", "right")
+    }
+
+
 def cmd_topk(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    _, _, _, analysis, tables = _prepare_tables(args, cfg)
-    labels = {}
-    if args.authors:
-        labels = {a: info.label for a, info in read_authors(args.authors).items()}
+    analysis, tables = _prepare_tables(args)
+    labels = _roster_labels(args.authors)
     group = GroupLabel(args.target_group)
     rows = _topk_rows(tables, group, args.k, labels)
     for r in rows:
         print(f"{r['author_id']:<12} {r['mean_exposure']:.4f}  {r['lean_label']}")
     if labels:
-        means = group_mean_exposure(tables[group])
-        for side in ("left", "right"):
-            share = exposure_share(means, args.k, lambda l, s=side: l == s, labels)
+        for side, share in _shares(tables[group], args.k, labels).items():
             print(f"top-{args.k} exposure share, {side}-leaning authors: {share:.4f}")
-    if args.out:
-        emit_report(rows, args.out, fmt=args.format)
-        print(f"wrote {args.out}")
+    _emit(args, rows)
     return 0
 
 
@@ -513,16 +497,13 @@ def _amplify_rows(rows) -> list[dict[str, Any]]:
 
 
 def cmd_amplify(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    _, _, _, analysis, tables = _prepare_tables(args, cfg)
+    analysis, tables = _prepare_tables(args)
     partisan = GroupLabel(args.partisan)
     baseline = GroupLabel(args.baseline)
     for g in (partisan, baseline):
         if g not in tables:
             raise DataError(f"no sessions for group {g.value}")
-    labels = {}
-    if args.authors:
-        labels = {a: info.label for a, info in read_authors(args.authors).items()}
+    labels = _roster_labels(args.authors)
     top = args.k if args.k is not None else analysis["top"]
     if args.all:
         top = len({a for t in (*tables[partisan], *tables[baseline]) for a in t.entries})
@@ -547,80 +528,48 @@ def cmd_amplify(args: argparse.Namespace) -> int:
             f"  {r.author_id:<12} {r.ratio_pct:+8.2f}%{flag} "
             f"(partisan {r.partisan_mean:.3f}, baseline {r.baseline_mean:.3f}, p={r.pvalue:.3g})"
         )
-    if args.out:
-        emit_report(_amplify_rows(rows), args.out, fmt=args.format)
-        print(f"wrote {args.out}")
+    _emit(args, _amplify_rows(rows))
     return 0
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-        cfg.setdefault("world", {}).pop("seed", None)
-        cfg.setdefault("ranker", {}).pop("seed", None)
+    if args.authors and not args.input:
+        raise ConfigError("--authors needs --input; a simulated run writes its own roster")
+    cfg = _with_seed(load_config(args.config), args.seed)
+    analysis = analysis_options(cfg, args)
+    decay_cfg = decay_options(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    analysis = analysis_options(cfg, args)
     artifacts: list[str] = []
 
     def artifact(name: str) -> Path:
         artifacts.append(name)
         return out_dir / name
 
-    labels: dict[str, str] = {}
     if args.input:
         res = read_sessions(args.input)
         sessions = list(res.sessions)
         source: Any = str(args.input)
-        if args.authors:
-            labels = {a: info.label for a, info in read_authors(args.authors).items()}
-        ingest_info = {
-            "total": res.total,
-            "filtered": res.filtered,
-            "skipped": res.skipped,
-        }
+        labels = _roster_labels(args.authors)
+        ingest_info = {"total": res.total, "filtered": res.filtered, "skipped": res.skipped}
     else:
-        world, fleet, params = build_sim_objects(cfg)
-        monitors = make_monitors(world, fleet, params.seed)
-        sessions = run_fleet(world, fleet, params, monitors)
+        world, sessions = _simulate(cfg)
         write_sessions(sessions, artifact("sessions.csv"))
-        write_authors(
-            world.authors,
-            artifact("authors.csv"),
-            lean_threshold=analysis["lean_threshold"],
-        )
-        labels = {
-            a: info.label for a, info in read_authors(out_dir / "authors.csv").items()
-        }
+        write_authors(world.authors, artifact("authors.csv"), lean_threshold=analysis["lean_threshold"])
+        labels = lean_labels(world, analysis["lean_threshold"])
         source = {"simulated": True, "seed": cfg.get("seed", 0)}
         ingest_info = {"total": len(sessions), "filtered": 0, "skipped": 0}
     if not sessions:
         raise DataError("no valid sessions to analyze")
 
-    emit_report(_stats_rows(sessions), artifact("stats.csv"))
-
-    grouped = _group_sessions(sessions)
-    decay_cfg = decay_options(cfg)
-    models = _calibrated_models(grouped, decay_cfg)
-    tables = _exposure_tables(grouped, models, analysis)
-
-    gini_report = group_gini_distribution(
-        tables, alpha=analysis["alpha_gini"], mode=analysis["mw_mode"]
-    )
     emit_report(
-        [
-            {
-                "group": group.value,
-                "monitor_id": t.monitor_id,
-                "gini": g,
-            }
-            for group in GROUP_ORDER
-            if group in tables
-            for t, g in zip(tables[group], gini_report.per_group[group.value])
-        ],
-        artifact("gini_monitors.csv"),
+        [dataclasses.asdict(g) for g in dataset_stats(sessions).groups], artifact("stats.csv")
     )
+
+    models, tables = _analyze(sessions, decay_cfg, analysis)
+
+    gini_report = group_gini_distribution(tables, alpha=analysis["alpha_gini"], mode=analysis["mw_mode"])
+    emit_report(_gini_rows(tables, gini_report), artifact("gini_monitors.csv"))
     emit_report(
         [
             {
@@ -644,24 +593,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             topk_rows.extend(_topk_rows(tables, group, analysis["top"], labels))
     emit_report(topk_rows, artifact("topk.csv"))
 
-    summary: dict[str, Any] = {
-        "gini_median": gini_report.medians(),
-        "shares": {},
-    }
+    summary: dict[str, Any] = {"gini_median": gini_report.medians(), "shares": {}}
     if labels:
         for group in GROUP_ORDER:
-            if group not in tables:
-                continue
-            means = group_mean_exposure(tables[group])
-            try:
-                summary["shares"][group.value] = {
-                    side: exposure_share(
-                        means, analysis["top"], lambda l, s=side: l == s, labels
-                    )
-                    for side in ("left", "right")
-                }
-            except AnalysisError:
-                continue
+            if group in tables:
+                with contextlib.suppress(AnalysisError):
+                    summary["shares"][group.value] = _shares(tables[group], analysis["top"], labels)
 
     reports = {}
     for group in (GroupLabel.LEFT, GroupLabel.RIGHT):
@@ -685,10 +622,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         except AnalysisError as exc:
             summary["magnitude_left_vs_right"] = {"error": str(exc)}
 
-    with (out_dir / "summary.json").open("w", encoding="utf-8") as fh:
+    with artifact("summary.json").open("w", encoding="utf-8") as fh:
         json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    artifacts.append("summary.json")
 
     manifest = {
         "version": __version__,
@@ -727,13 +663,12 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def _add_io_flags(p: argparse.ArgumentParser, with_filters: bool = True) -> None:
+def _add_io_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--input", required=True, help="session log CSV")
-    if with_filters:
-        p.add_argument("--group", choices=[g.value for g in GROUP_ORDER])
-        p.add_argument("--monitor", help="only this monitor id")
-        p.add_argument("--start", help="include captures at/after this RFC-3339 time")
-        p.add_argument("--end", help="include captures before this RFC-3339 time")
+    p.add_argument("--group", choices=[g.value for g in GROUP_ORDER])
+    p.add_argument("--monitor", help="only this monitor id")
+    p.add_argument("--start", help="include captures at/after this RFC-3339 time")
+    p.add_argument("--end", help="include captures before this RFC-3339 time")
 
 
 def _add_report_flags(p: argparse.ArgumentParser, out_required: bool = False) -> None:
@@ -810,24 +745,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--authors", help="author roster CSV for lean labels")
     p.set_defaults(func=cmd_amplify)
 
-    p = sub.add_parser("report", help="run every analysis on an existing session log")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--input", required=True, help="session log CSV to analyze")
-    p.add_argument("--authors", help="author roster CSV for lean labels")
-    p.add_argument("--scope", choices=["out-of-network", "all"])
-    p.add_argument("--attribution", choices=["original", "displayed"])
-    p.set_defaults(func=cmd_pipeline, seed=None)
-
-    p = sub.add_parser("pipeline", help="simulate (or ingest) and run every analysis")
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--config", help="JSON config file")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--input", help="analyze this log instead of simulating")
-    p.add_argument("--authors", help="author roster CSV (with --input)")
-    p.add_argument("--scope", choices=["out-of-network", "all"])
-    p.add_argument("--attribution", choices=["original", "displayed"])
-    p.set_defaults(func=cmd_pipeline)
+    for name, help_text in (
+        ("report", "run every analysis on an existing session log"),
+        ("pipeline", "simulate (or ingest) and run every analysis"),
+    ):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--out-dir", required=True)
+        p.add_argument("--config", help="JSON config file")
+        p.add_argument("--input", required=name == "report", help="session log CSV to analyze")
+        p.add_argument("--authors", help="author roster CSV for lean labels (with --input)")
+        p.add_argument("--scope", choices=["out-of-network", "all"])
+        p.add_argument("--attribution", choices=["original", "displayed"])
+        p.set_defaults(func=cmd_pipeline, seed=None)
+        if name == "pipeline":
+            p.add_argument("--seed", type=int, help="simulation seed (overrides the config)")
 
     return parser
 

@@ -130,14 +130,9 @@ def weighted_occurrence(
     include_promoted: bool = True,
 ) -> float:
     """Exposure of one author per 1,000 tweets over the given sessions."""
-    table = build_exposure_table(
-        sessions,
-        model,
-        scope=scope,
-        attribution=attribution,
-        include_promoted=include_promoted,
-    )
-    return table.get(author_id)
+    return build_exposure_table(
+        sessions, model, scope=scope, attribution=attribution, include_promoted=include_promoted
+    ).get(author_id)
 
 
 def top_k(

@@ -25,6 +25,16 @@ LEAN_RIGHT = "right"
 LEAN_UNKNOWN = "unknown"
 
 
+def lean_label(lean: float, threshold: float) -> str:
+    """Left/right/unknown label of an author lean in [-1, 1]: beyond
+    ``threshold`` on either side, else unknown."""
+    if lean < -threshold:
+        return LEAN_LEFT
+    if lean > threshold:
+        return LEAN_RIGHT
+    return LEAN_UNKNOWN
+
+
 class GroupLabel(str, Enum):
     """Treatment group of a monitor account."""
 

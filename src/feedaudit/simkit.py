@@ -45,6 +45,7 @@ from .model import (
     SessionRecord,
     TimelineEntry,
     ensure_utc,
+    lean_label,
 )
 
 _DEFAULT_START = datetime(2024, 10, 2, tzinfo=timezone.utc)
@@ -607,12 +608,4 @@ def lean_labels(
     """Author id -> left/right/unknown labels from ground-truth leans."""
     if not (0.0 < threshold < 1.0):
         raise ConfigError(f"threshold must be in (0, 1), got {threshold}")
-    out = {}
-    for a in world.authors:
-        if a.lean < -threshold:
-            out[a.id] = "left"
-        elif a.lean > threshold:
-            out[a.id] = "right"
-        else:
-            out[a.id] = "unknown"
-    return out
+    return {a.id: lean_label(a.lean, threshold) for a in world.authors}

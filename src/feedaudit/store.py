@@ -28,6 +28,7 @@ from .model import (
     SessionRecord,
     TimelineEntry,
     ensure_utc,
+    lean_label,
     validate_session,
 )
 
@@ -271,7 +272,11 @@ def read_sessions(
 @dataclass(frozen=True)
 class GroupStats:
     """Per-group composition statistics (means and population stds of
-    per-monitor shares, as fractions in [0, 1])."""
+    per-monitor shares, as fractions in [0, 1]).
+
+    The field order is the column order of ``stats.csv``, which is
+    written from ``dataclasses.asdict`` of each instance.
+    """
 
     group: str
     monitors: int
@@ -412,19 +417,13 @@ def write_authors(
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(AUTHOR_FIELDS)
         for a in authors:
-            if a.lean < -lean_threshold:
-                label = "left"
-            elif a.lean > lean_threshold:
-                label = "right"
-            else:
-                label = "unknown"
             writer.writerow(
                 (
                     a.id,
                     format_float(a.lean),
                     format_float(a.popularity),
                     format_float(a.post_rate),
-                    label,
+                    lean_label(a.lean, lean_threshold),
                 )
             )
             count += 1

@@ -9,7 +9,7 @@ import re
 
 import pytest
 
-from feedaudit import write_sessions
+from feedaudit import GROUP_ORDER, write_sessions
 from feedaudit.cli import analysis_options, load_config, main
 
 from conftest import entry, session
@@ -200,6 +200,33 @@ class TestConfigHandling:
         assert opts["scope"] == "out-of-network"
         assert opts["attribution"] == "original"
         assert opts["top"] == 50
+
+    @pytest.mark.parametrize(
+        "section, code",
+        [
+            ({"analysis": {"top": "5"}}, 2),
+            ({"analysis": {"top": 5.0}}, 2),
+            ({"analysis": {"lorenz_grid": "x"}}, 2),
+            ({"analysis": {"alpha_amplify": "0.05"}}, 2),
+            ({"analysis": {"include_promoted": "no"}}, 2),
+            ({"analysis": {"lean_threshold": 0}}, 2),
+            ({"analysis": {"lean_threshold": 1}}, 2),
+            ({"decay": {"top_fraction": "0.2"}}, 2),
+            ({"decay": {"amplitude": 1}}, 0),
+            ({"decay": {"amplitude": None}}, 0),
+        ],
+    )
+    def test_option_value_types(self, ws, tmp_path, capsys, section, code):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(section))
+        rc, _, err = run(
+            capsys, "report", "--input", str(ws["log"]), "--config", str(cfg),
+            "--out-dir", str(tmp_path / "out"),
+        )
+        assert rc == code, err
+        if code:
+            key = next(iter(next(iter(section.values()))))
+            assert key in err
 
 
 class TestGini:
@@ -421,6 +448,49 @@ class TestPipeline:
         assert manifest["source"] == str(ws["log"])
         assert manifest["ingest"] == {"total": 32, "filtered": 0, "skipped": 0}
 
+    def test_authors_without_input_rejected(self, ws, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc, _, err = run(
+            capsys, "pipeline", "--config", str(ws["cfg"]), "--authors", str(ws["authors"]),
+            "--out-dir", str(out),
+        )
+        assert rc == 2
+        assert "--input" in err
+        assert not out.exists()
+
+    def test_subcommands_match_artifacts(self, ws, tmp_path, capsys):
+        piped = tmp_path / "piped"
+        rc, _, _ = run(
+            capsys, "pipeline", "--config", str(ws["cfg"]), "--out-dir", str(piped)
+        )
+        assert rc == 0
+        log, authors = str(piped / "sessions.csv"), str(piped / "authors.csv")
+        sub = tmp_path / "sub"
+        sub.mkdir()
+        commands = {
+            "stats.csv": ["stats"],
+            "gini_monitors.csv": ["gini"],
+            "lorenz.csv": ["lorenz"],
+            "amplify_left.csv": ["amplify", "--partisan", "left", "--authors", authors],
+            "amplify_right.csv": ["amplify", "--partisan", "right", "--authors", authors],
+        }
+        for name, argv in commands.items():
+            rc, _, _ = run(capsys, *argv, "--input", log, "--out", str(sub / name))
+            assert rc == 0, name
+            assert (sub / name).read_bytes() == (piped / name).read_bytes(), name
+        # topk.csv is the per-group top-50 tables in GROUP_ORDER under one header.
+        lines: list[bytes] = []
+        for group in GROUP_ORDER:
+            path = sub / f"topk_{group.value}.csv"
+            rc, _, _ = run(
+                capsys, "topk", "--input", log, "--authors", authors,
+                "--target-group", group.value, "-k", "50", "--out", str(path),
+            )
+            assert rc == 0, group
+            rows = path.read_bytes().splitlines(keepends=True)
+            lines.extend(rows if not lines else rows[1:])
+        assert b"".join(lines) == (piped / "topk.csv").read_bytes()
+
     def test_pipeline_matches_report_on_own_log(self, ws, tmp_path, capsys):
         piped = tmp_path / "piped"
         rc, _, _ = run(
@@ -441,6 +511,11 @@ class TestParserBasics:
     def test_no_command(self):
         with pytest.raises(SystemExit) as err:
             main([])
+        assert err.value.code == 2
+
+    def test_report_rejects_seed(self, ws, tmp_path):
+        with pytest.raises(SystemExit) as err:
+            main(["report", "--input", str(ws["log"]), "--out-dir", str(tmp_path), "--seed", "1"])
         assert err.value.code == 2
 
     def test_version(self, capsys):
