@@ -50,6 +50,7 @@ from .simkit import (
     run_fleet,
 )
 from .store import (
+    GroupStats,
     _render,
     dataset_stats,
     emit_report,
@@ -77,12 +78,22 @@ _DECAY_DEFAULTS: dict[str, Any] = {
     "amplitude": None,
 }
 
+# The parameters of what each simulation section configures, with
+# their defaults.
+_SIM_DEFAULTS: dict[str, dict[str, Any]] = {
+    "world": {n: p.default for n, p in inspect.signature(build_world).parameters.items()},
+    "ranker": {f.name: f.default for f in dataclasses.fields(RankerParams)},
+    "fleet": {f.name: f.default for f in dataclasses.fields(FleetConfig)},
+}
+
+# Fields that take one value or a per-group mapping; their constructors
+# check them.
+_PER_GROUP_FIELDS = {"monitors_per_group", "session_length", "oon_mix"}
+
 # Config sections accept exactly the parameters of what they configure.
 _ALLOWED_KEYS: dict[str, set[str] | None] = {
     "seed": None,
-    "world": set(inspect.signature(build_world).parameters),
-    "ranker": {f.name for f in dataclasses.fields(RankerParams)},
-    "fleet": {f.name for f in dataclasses.fields(FleetConfig)},
+    **{section: set(params) for section, params in _SIM_DEFAULTS.items()},
     "decay": set(_DECAY_DEFAULTS),
     "analysis": set(_ANALYSIS_DEFAULTS),
 }
@@ -138,8 +149,15 @@ def build_sim_objects(
 ) -> tuple[Any, FleetConfig, RankerParams]:
     """Turn a validated config dict into world/fleet/ranker objects."""
     seed = cfg.get("seed", 0)
-    if not isinstance(seed, int):
+    if type(seed) is not int:
         raise ConfigError(f"seed must be an integer, got {seed!r}")
+    for section, params in _SIM_DEFAULTS.items():
+        scalars = {
+            k: v
+            for k, v in params.items()
+            if k not in _PER_GROUP_FIELDS and type(v) in (bool, int, float)
+        }
+        _typed(section, scalars, {**scalars, **cfg.get(section, {})})
     try:
         wcfg = dict(cfg.get("world", {}))
         mixture = wcfg.pop("lean_mixture", None)
@@ -260,10 +278,24 @@ def _read_with_filters(args: argparse.Namespace):
     )
 
 
-def _emit(args: argparse.Namespace, rows: Sequence[Mapping[str, Any]]) -> None:
+# Column order of each report. A table with no rows is written as its
+# header alone.
+_STATS_COLUMNS = tuple(f.name for f in dataclasses.fields(GroupStats))
+_GINI_COLUMNS = ("group", "monitor_id", "gini")
+_GINI_PAIR_COLUMNS = ("group_a", "group_b", "u_statistic", "pvalue", "significant", "method")
+_LORENZ_COLUMNS = ("group", "population_share", "exposure_share_mean", "exposure_share_std")
+_TOPK_COLUMNS = ("group", "author_id", "mean_exposure", "lean_label")
+_AMPLIFY_COLUMNS = (
+    "author_id", "lean_label", "mean_E_group", "mean_E_balanced", "ratio_pct", "U", "p", "significant",
+)
+
+
+def _emit(
+    args: argparse.Namespace, rows: Sequence[Mapping[str, Any]], columns: Sequence[str]
+) -> None:
     """Write ``rows`` to --out in --format, when --out is given."""
     if args.out:
-        emit_report(rows, args.out, fmt=args.format)
+        emit_report(rows, args.out, fmt=args.format, columns=columns)
         print(f"wrote {args.out}")
 
 
@@ -362,7 +394,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if not res.sessions:
         raise DataError("no valid sessions after filtering")
     rows = [dataclasses.asdict(g) for g in dataset_stats(res.sessions).groups]
-    _emit(args, rows)
+    _emit(args, rows, _STATS_COLUMNS)
     if not args.out:
         for r in rows:
             print(
@@ -391,10 +423,19 @@ def _gini_rows(
     tables: Mapping[GroupLabel, Sequence[ExposureTable]], report: GiniReport
 ) -> list[dict[str, Any]]:
     return [
-        {"group": group.value, "monitor_id": t.monitor_id, "gini": g}
+        dict(zip(_GINI_COLUMNS, (group.value, t.monitor_id, g)))
         for group in GROUP_ORDER
         if group in tables
         for t, g in zip(tables[group], report.per_group[group.value])
+    ]
+
+
+def _gini_pair_rows(report: GiniReport) -> list[dict[str, Any]]:
+    return [
+        dict(zip(_GINI_PAIR_COLUMNS, (
+            c.group_a, c.group_b, c.statistic, c.pvalue, c.significant, c.method,
+        )))
+        for c in report.comparisons
     ]
 
 
@@ -413,7 +454,7 @@ def cmd_gini(args: argparse.Namespace) -> int:
         print(
             f"{c.group_a} vs {c.group_b}: U={c.statistic:g} p={c.pvalue:.4g}{flag} ({c.method})"
         )
-    _emit(args, _gini_rows(tables, report))
+    _emit(args, _gini_rows(tables, report), _GINI_COLUMNS)
     return 0
 
 
@@ -427,7 +468,7 @@ def _lorenz_rows(
         curves = [lorenz(list(t.entries.values())) for t in tables[group]]
         band = average_lorenz(curves, grid_size=grid_size)
         rows.extend(
-            {"group": group.value, "population_share": x, "exposure_share_mean": m, "exposure_share_std": s}
+            dict(zip(_LORENZ_COLUMNS, (group.value, x, m, s)))
             for x, m, s in zip(band.grid, band.mean, band.std)
         )
     return rows
@@ -435,7 +476,7 @@ def _lorenz_rows(
 
 def cmd_lorenz(args: argparse.Namespace) -> int:
     analysis, tables = _prepare_tables(args)
-    _emit(args, _lorenz_rows(tables, analysis["lorenz_grid"]))
+    _emit(args, _lorenz_rows(tables, analysis["lorenz_grid"]), _LORENZ_COLUMNS)
     return 0
 
 
@@ -449,7 +490,7 @@ def _topk_rows(
         raise DataError(f"no sessions for group {group.value}")
     means = group_mean_exposure(tables[group])
     return [
-        {"group": group.value, "author_id": a, "mean_exposure": e, "lean_label": labels.get(a, "unknown")}
+        dict(zip(_TOPK_COLUMNS, (group.value, a, e, labels.get(a, "unknown"))))
         for a, e in top_k(means, k)
     ]
 
@@ -476,22 +517,16 @@ def cmd_topk(args: argparse.Namespace) -> int:
     if labels:
         for side, share in _shares(tables[group], args.k, labels).items():
             print(f"top-{args.k} exposure share, {side}-leaning authors: {share:.4f}")
-    _emit(args, rows)
+    _emit(args, rows, _TOPK_COLUMNS)
     return 0
 
 
 def _amplify_rows(rows) -> list[dict[str, Any]]:
     return [
-        {
-            "author_id": r.author_id,
-            "lean_label": r.lean_label,
-            "mean_E_group": r.partisan_mean,
-            "mean_E_balanced": r.baseline_mean,
-            "ratio_pct": r.ratio_pct,
-            "U": r.statistic,
-            "p": r.pvalue,
-            "significant": r.significant,
-        }
+        dict(zip(_AMPLIFY_COLUMNS, (
+            r.author_id, r.lean_label, r.partisan_mean, r.baseline_mean,
+            r.ratio_pct, r.statistic, r.pvalue, r.significant,
+        )))
         for r in rows
     ]
 
@@ -528,7 +563,7 @@ def cmd_amplify(args: argparse.Namespace) -> int:
             f"  {r.author_id:<12} {r.ratio_pct:+8.2f}%{flag} "
             f"(partisan {r.partisan_mean:.3f}, baseline {r.baseline_mean:.3f}, p={r.pvalue:.3g})"
         )
-    _emit(args, _amplify_rows(rows))
+    _emit(args, _amplify_rows(rows), _AMPLIFY_COLUMNS)
     return 0
 
 
@@ -563,35 +598,23 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise DataError("no valid sessions to analyze")
 
     emit_report(
-        [dataclasses.asdict(g) for g in dataset_stats(sessions).groups], artifact("stats.csv")
+        [dataclasses.asdict(g) for g in dataset_stats(sessions).groups],
+        artifact("stats.csv"),
+        columns=_STATS_COLUMNS,
     )
 
     models, tables = _analyze(sessions, decay_cfg, analysis)
 
     gini_report = group_gini_distribution(tables, alpha=analysis["alpha_gini"], mode=analysis["mw_mode"])
-    emit_report(_gini_rows(tables, gini_report), artifact("gini_monitors.csv"))
-    emit_report(
-        [
-            {
-                "group_a": c.group_a,
-                "group_b": c.group_b,
-                "u_statistic": c.statistic,
-                "pvalue": c.pvalue,
-                "significant": c.significant,
-                "method": c.method,
-            }
-            for c in gini_report.comparisons
-        ],
-        artifact("gini_pairwise.csv"),
-    )
-
-    emit_report(_lorenz_rows(tables, analysis["lorenz_grid"]), artifact("lorenz.csv"))
+    emit_report(_gini_rows(tables, gini_report), artifact("gini_monitors.csv"), columns=_GINI_COLUMNS)
+    emit_report(_gini_pair_rows(gini_report), artifact("gini_pairwise.csv"), columns=_GINI_PAIR_COLUMNS)
+    emit_report(_lorenz_rows(tables, analysis["lorenz_grid"]), artifact("lorenz.csv"), columns=_LORENZ_COLUMNS)
 
     topk_rows: list[dict[str, Any]] = []
     for group in GROUP_ORDER:
         if group in tables:
             topk_rows.extend(_topk_rows(tables, group, analysis["top"], labels))
-    emit_report(topk_rows, artifact("topk.csv"))
+    emit_report(topk_rows, artifact("topk.csv"), columns=_TOPK_COLUMNS)
 
     summary: dict[str, Any] = {"gini_median": gini_report.medians(), "shares": {}}
     if labels:
@@ -612,7 +635,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 mode=analysis["mw_mode"],
             )
             reports[group] = rows
-            emit_report(_amplify_rows(rows), artifact(f"amplify_{group.value}.csv"))
+            emit_report(_amplify_rows(rows), artifact(f"amplify_{group.value}.csv"), columns=_AMPLIFY_COLUMNS)
     if len(reports) == 2:
         try:
             mag = group_amplification_magnitude(

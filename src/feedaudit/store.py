@@ -6,17 +6,32 @@ sessions are written in canonical order, so equal inputs produce
 byte-identical files. Timestamps are RFC-3339 UTC with a Z suffix.
 Floats in emitted reports are rendered with six significant digits in
 both CSV and JSON so the two formats carry value-identical numbers.
+
+Reading streams the log and holds the raw rows of one session at a
+time. Each row is only checked for its field count and group; a
+session's rows are then transposed and parsed column by column, ranks
+with ``int`` and the four flags through one true/false lookup, and its
+entries are built straight from the columns. A fast check that holds
+exactly when :func:`validate_session` would find no violation passes
+the valid sessions; the others go through :func:`validate_session`,
+which names their violations. Line numbers are worked out only for an
+error. Author and displayed-author ids are pooled per read, so each
+distinct id is one string object however many rows name it.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
+from operator import and_, itemgetter, not_
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -67,12 +82,58 @@ def _parse_ts(text: str, path: str, line: int) -> datetime:
     return ensure_utc(dt)
 
 
-def _parse_bool(text: str, path: str, line: int) -> bool:
-    if text == "true":
-        return True
-    if text == "false":
+_FLAGS = {"true": True, "false": False}
+_GROUP_TEXTS = frozenset(["", *(g.value for g in GroupLabel)])
+_entry = partial(tuple.__new__, TimelineEntry)
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector. Reading a log allocates
+    millions of containers and forms no reference cycle, so collections
+    during the read only rescan objects that are still alive."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _first_bad_field(rows: Sequence[Sequence[str]], path: str, line_of) -> ParseError:
+    """The error for a session's first unparseable rank or flag, in row
+    order and, within a row, in column order."""
+    for i, row in enumerate(rows):
+        try:
+            int(row[4])
+        except ValueError:
+            return ParseError(f"bad rank {row[4]!r}", path=path, line=line_of(i))
+        for text in row[8:]:
+            if text not in _FLAGS:
+                return ParseError(
+                    f"bad boolean {text!r} (expected true/false)", path=path, line=line_of(i)
+                )
+    raise AssertionError("every rank and flag parses")
+
+
+def _flags_agree(
+    retweet: Sequence[bool],
+    quote: Sequence[bool],
+    in_network: Sequence[bool],
+    displayed: Sequence[AuthorId],
+    follow_set: Iterable[AuthorId] | None,
+    group: GroupLabel | None,
+) -> bool:
+    """For a session whose ranks are 1..L: true exactly when
+    :func:`validate_session` finds no violation, that is no entry is
+    both retweet and quote and in_network matches the follow set when
+    one applies (an empty one for a neutral session)."""
+    if any(map(and_, retweet, quote)):
         return False
-    raise ParseError(f"bad boolean {text!r} (expected true/false)", path=path, line=line)
+    if follow_set is not None:
+        return in_network == list(map(frozenset(follow_set).__contains__, displayed))
+    return group is not GroupLabel.NEUTRAL or True not in in_network
 
 
 def write_sessions(
@@ -149,10 +210,20 @@ def read_sessions(
     ``follows`` provides a monitor's follow set, in_network flags are
     checked against it; neutral sessions are always checked against an
     empty follow set.
+
+    The log is streamed one session at a time. Each row's field count
+    and group are checked, but a filtered session is parsed no further
+    than its capture time. The other sessions are parsed column by
+    column; one whose ranks are 1..L and whose flags pass
+    :func:`_flags_agree` is valid, and any other is checked by
+    :func:`validate_session`, so its violation messages are the same as
+    for a record built by hand. Equal author ids share one string
+    object across the result, and ranks 1..L one int object each.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"session log not found: {path}")
+    where = str(path)
     want_group = GroupLabel(str(group)) if group is not None else None
     start = ensure_utc(start) if start else None
     end = ensure_utc(end) if end else None
@@ -161,104 +232,98 @@ def read_sessions(
     violations: dict[str, tuple[str, ...]] = {}
     seen_ids: set[str] = set()
     total = filtered = skipped = 0
+    intern = {}.setdefault  # one string object per distinct author id
+    one_to: list[int] = []  # 1..L for the longest session so far
 
-    current: list[tuple[int, Sequence[str]]] = []  # (line number, row)
-
-    def flush() -> None:
+    def flush(rows: list[list[str]], first_line: int, blanks: list[int]) -> None:
         nonlocal total, filtered, skipped
-        if not current:
-            return
         total += 1
-        first_line, first = current[0]
-        sid, mon, grp_text, ts_text = first[0], first[1], first[2], first[3]
+        sid, mon, grp_text, ts_text = rows[0][:4]
         grp = GroupLabel(grp_text) if grp_text else None
-        captured = _parse_ts(ts_text, str(path), first_line)
-
-        if want_group is not None and grp is not want_group:
+        captured = _parse_ts(ts_text, where, first_line)
+        if (
+            (want_group is not None and grp is not want_group)
+            or (monitor_id is not None and mon != monitor_id)
+            or (start and captured < start)
+            or (end and captured >= end)
+        ):
             filtered += 1
-            current.clear()
-            return
-        if monitor_id is not None and mon != monitor_id:
-            filtered += 1
-            current.clear()
-            return
-        if (start and captured < start) or (end and captured >= end):
-            filtered += 1
-            current.clear()
             return
 
+        def line_of(i: int) -> int:
+            # blank lines inside the session shift the rows after them
+            return first_line + i + sum(b <= i for b in blanks)
+
+        n = len(rows)
+        _, mons, grps, stamps, rank_col, tweet_ids, authors, shown, *flag_cols = zip(*rows)
         issues: list[str] = []
-        entries = []
-        for line_no, row in current:
-            if row[1] != mon or row[2] != grp_text or row[3] != ts_text:
-                issues.append(f"line {line_no}: inconsistent session header fields")
-            try:
-                rank = int(row[4])
-            except ValueError:
-                raise ParseError(f"bad rank {row[4]!r}", path=str(path), line=line_no) from None
-            entries.append(
-                TimelineEntry(
-                    rank=rank,
-                    tweet_id=row[5],
-                    author_id=row[6],
-                    displayed_author_id=row[7],
-                    is_retweet=_parse_bool(row[8], str(path), line_no),
-                    is_quote=_parse_bool(row[9], str(path), line_no),
-                    is_promoted=_parse_bool(row[10], str(path), line_no),
-                    in_network=_parse_bool(row[11], str(path), line_no),
-                )
+        if mons.count(mon) != n or grps.count(grp_text) != n or stamps.count(ts_text) != n:
+            issues = [
+                f"line {line_of(i)}: inconsistent session header fields"
+                for i, row in enumerate(rows)
+                if row[1] != mon or row[2] != grp_text or row[3] != ts_text
+            ]
+        try:
+            ranks = list(map(int, rank_col))
+            retweet, quote, promoted, in_network = (
+                list(map(_FLAGS.__getitem__, col)) for col in flag_cols
             )
+        except (ValueError, KeyError):
+            raise _first_bad_field(rows, where, line_of) from None
+        one_to.extend(range(len(one_to) + 1, n + 1))
+        expected = one_to[:n]
+        in_order = ranks == expected
+        if in_order:
+            ranks = expected
+        shown = tuple(map(intern, shown, shown))
+        columns = (ranks, tweet_ids, map(intern, authors, authors), shown, retweet, quote, promoted, in_network)
+        entries = tuple(map(_entry, zip(*columns)))
         record = SessionRecord(
-            session_id=sid,
-            monitor_id=mon,
-            captured_at=captured,
-            entries=tuple(entries),
-            group=grp,
+            session_id=sid, monitor_id=mon, captured_at=captured, entries=entries, group=grp
         )
         if sid in seen_ids:
             issues.append("duplicate session id")
         seen_ids.add(sid)
         follow_set = follows.get(mon) if follows is not None else None
-        issues.extend(validate_session(record, follow_set))
+        if not (in_order and _flags_agree(retweet, quote, in_network, shown, follow_set, grp)):
+            issues.extend(validate_session(record, follow_set))
         if issues:
             skipped += 1
             violations[sid] = tuple(issues)
         else:
             sessions.append(record)
-        current.clear()
 
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8") as fh, _gc_paused():
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"session log is empty: {path}") from None
         if tuple(header) != SESSION_FIELDS:
-            raise ParseError(
-                f"unexpected header {header!r}", path=str(path), line=1
-            )
-        current_sid: str | None = None
+            raise ParseError(f"unexpected header {header!r}", path=where, line=1)
+        width = len(SESSION_FIELDS)
+        rows: list[list[str]] = []  # the current session's rows
+        blanks: list[int] = []  # offsets of its rows that follow a blank line
+        sid: str | None = None
+        first_line = 2
         for line_no, row in enumerate(reader, start=2):
             if not row:
+                blanks.append(len(rows))
                 continue
-            if len(row) != len(SESSION_FIELDS):
+            if len(row) != width:
                 raise ParseError(
-                    f"expected {len(SESSION_FIELDS)} fields, got {len(row)}",
-                    path=str(path),
-                    line=line_no,
+                    f"expected {width} fields, got {len(row)}", path=where, line=line_no
                 )
-            if row[2]:
-                try:
-                    GroupLabel(row[2])
-                except ValueError:
-                    raise ParseError(
-                        f"unknown group {row[2]!r}", path=str(path), line=line_no
-                    ) from None
-            if row[0] != current_sid:
-                flush()
-                current_sid = row[0]
-            current.append((line_no, row))
-        flush()
+            if row[2] not in _GROUP_TEXTS:
+                raise ParseError(f"unknown group {row[2]!r}", path=where, line=line_no)
+            if row[0] != sid:
+                if rows:
+                    flush(rows, first_line, blanks)
+                rows, blanks = [], []
+                sid, first_line = row[0], line_no
+            rows.append(row)
+        if rows:
+            flush(rows, first_line, blanks)
 
     return IngestResult(
         sessions=tuple(sessions),
@@ -303,47 +368,40 @@ class DatasetStats:
 def dataset_stats(sessions: Iterable[SessionRecord]) -> DatasetStats:
     """Composition statistics per group: out-of-network, retweet, quote,
     and promoted shares averaged over monitors."""
-    per_monitor: dict[tuple[GroupLabel, str], list[TimelineEntry]] = {}
-    session_count: dict[tuple[GroupLabel, str], int] = {}
+    # (group, monitor) -> [sessions, tweets, out-of-network, retweets, quotes, promoted]
+    counts: dict[tuple[GroupLabel, str], list[int]] = {}
     total_sessions = total_tweets = ungrouped = 0
     for s in sessions:
+        entries = s.entries
         total_sessions += 1
-        total_tweets += len(s.entries)
+        total_tweets += len(entries)
         if s.group is None:
             ungrouped += 1
             continue
-        key = (s.group, s.monitor_id)
-        per_monitor.setdefault(key, []).extend(s.entries)
-        session_count[key] = session_count.get(key, 0) + 1
+        c = counts.setdefault((s.group, s.monitor_id), [0] * 6)
+        c[0] += 1
+        c[1] += len(entries)
+        c[2] += sum(map(not_, map(itemgetter(7), entries)))  # not in_network
+        for k in (3, 4, 5):  # is_retweet, is_quote, is_promoted: fields 4, 5, 6
+            c[k] += sum(map(itemgetter(k + 1), entries))
 
     groups = []
     for group in GROUP_ORDER:
-        keys = sorted(k for k in per_monitor if k[0] is group)
+        keys = sorted(k for k in counts if k[0] is group)
         if not keys:
             continue
-        shares = {"oon": [], "retweet": [], "quote": [], "promoted": []}
-        tweets = 0
-        n_sessions = 0
-        for key in keys:
-            entries = per_monitor[key]
-            n = len(entries)
-            tweets += n
-            n_sessions += session_count[key]
-            shares["oon"].append(sum(not e.in_network for e in entries) / n)
-            shares["retweet"].append(sum(e.is_retweet for e in entries) / n)
-            shares["quote"].append(sum(e.is_quote for e in entries) / n)
-            shares["promoted"].append(sum(e.is_promoted for e in entries) / n)
+        monitors = [counts[k] for k in keys]
         stat = {}
-        for name, vals in shares.items():
-            arr = np.asarray(vals)
-            stat[f"{name}_mean"] = float(arr.mean())
-            stat[f"{name}_std"] = float(arr.std())
+        for k, name in enumerate(("oon", "retweet", "quote", "promoted"), start=2):
+            shares = np.asarray([c[k] / c[1] for c in monitors])
+            stat[f"{name}_mean"] = float(shares.mean())
+            stat[f"{name}_std"] = float(shares.std())
         groups.append(
             GroupStats(
                 group=group.value,
                 monitors=len(keys),
-                sessions=n_sessions,
-                tweets=tweets,
+                sessions=sum(c[0] for c in monitors),
+                tweets=sum(c[1] for c in monitors),
                 **stat,
             )
         )

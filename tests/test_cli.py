@@ -228,6 +228,25 @@ class TestConfigHandling:
             key = next(iter(next(iter(section.values()))))
             assert key in err
 
+    @pytest.mark.parametrize(
+        "section",
+        [
+            {"fleet": {"duration_days": 1.5}},
+            {"fleet": {"sessions_per_day": 2.0}},
+            {"ranker": {"seed": "1"}},
+            {"world": {"n_authors": "90"}},
+        ],
+    )
+    def test_simulation_value_types(self, tmp_path, capsys, section):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(section))
+        out = tmp_path / "out"
+        rc, _, err = run(capsys, "pipeline", "--config", str(cfg), "--out-dir", str(out))
+        assert rc == 2, err
+        name, values = next(iter(section.items()))
+        assert f"{name}.{next(iter(values))}" in err
+        assert not (out / "sessions.csv").exists()
+
 
 class TestGini:
     def test_happy_path(self, ws, tmp_path, capsys):
@@ -447,6 +466,23 @@ class TestPipeline:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["source"] == str(ws["log"])
         assert manifest["ingest"] == {"total": 32, "filtered": 0, "skipped": 0}
+
+    def test_report_on_single_group_log(self, ws, tmp_path, capsys):
+        with ws["log"].open(newline="") as fh:
+            rows = list(csv.reader(fh))
+        log = tmp_path / "left.csv"
+        with log.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [rows[0], *(r for r in rows[1:] if r[2] == "left")]
+            )
+        out = tmp_path / "rep"
+        rc, _, err = run(capsys, "report", "--input", str(log), "--out-dir", str(out))
+        assert rc == 0, err
+        assert (out / "gini_pairwise.csv").read_text() == (
+            "group_a,group_b,u_statistic,pvalue,significant,method\n"
+        )
+        summary = json.loads((out / "summary.json").read_text())
+        assert list(summary["gini_median"]) == ["left"]
 
     def test_authors_without_input_rejected(self, ws, tmp_path, capsys):
         out = tmp_path / "run"

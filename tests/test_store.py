@@ -15,17 +15,21 @@ from feedaudit import (
     GroupLabel,
     ParseError,
     RankerParams,
+    SessionRecord,
+    TimelineEntry,
     build_world,
     dataset_stats,
     emit_report,
     lean_labels,
+    make_monitors,
     read_authors,
     read_sessions,
     run_fleet,
     write_authors,
     write_sessions,
 )
-from feedaudit.store import SESSION_FIELDS, format_float
+from feedaudit.model import ensure_utc, validate_session
+from feedaudit.store import SESSION_FIELDS, IngestResult, format_float
 
 from conftest import T0, authors_session, entry, session
 
@@ -203,6 +207,212 @@ class TestIngestionDefects:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_sessions(tmp_path / "nope.csv")
+
+
+def reference_read(path, *, group=None, monitor_id=None, start=None, end=None, follows=None):
+    """Row-by-row session-log reader: one TimelineEntry per row as each
+    row is parsed, and validate_session on every session that no filter
+    excludes. ``read_sessions`` must agree with it."""
+    where = str(path)
+    want = GroupLabel(group) if group is not None else None
+    groups = {g.value for g in GroupLabel}
+    sessions, violations, seen = [], {}, set()
+    counts = {"total": 0, "filtered": 0, "skipped": 0}
+
+    def parse_bool(text, line):
+        if text not in ("true", "false"):
+            raise ParseError(f"bad boolean {text!r} (expected true/false)", path=where, line=line)
+        return text == "true"
+
+    def flush(current):
+        counts["total"] += 1
+        first_line, first = current[0]
+        sid, mon, grp_text, ts_text = first[:4]
+        grp = GroupLabel(grp_text) if grp_text else None
+        try:
+            captured = ensure_utc(datetime.fromisoformat(ts_text.replace("Z", "+00:00")))
+        except ValueError:
+            raise ParseError(f"bad timestamp {ts_text!r}", path=where, line=first_line) from None
+        if (
+            (want is not None and grp is not want)
+            or (monitor_id is not None and mon != monitor_id)
+            or (start and captured < start)
+            or (end and captured >= end)
+        ):
+            counts["filtered"] += 1
+            return
+        issues, entries = [], []
+        for line, row in current:
+            if row[1:4] != first[1:4]:
+                issues.append(f"line {line}: inconsistent session header fields")
+            try:
+                rank = int(row[4])
+            except ValueError:
+                raise ParseError(f"bad rank {row[4]!r}", path=where, line=line) from None
+            flags = [parse_bool(text, line) for text in row[8:]]
+            entries.append(TimelineEntry(rank, row[5], row[6], row[7], *flags))
+        record = SessionRecord(sid, mon, captured, tuple(entries), grp)
+        if sid in seen:
+            issues.append("duplicate session id")
+        seen.add(sid)
+        issues += validate_session(record, follows.get(mon) if follows is not None else None)
+        if issues:
+            counts["skipped"] += 1
+            violations[sid] = tuple(issues)
+        else:
+            sessions.append(record)
+
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        if tuple(header) != SESSION_FIELDS:
+            raise ParseError(f"unexpected header {header!r}", path=where, line=1)
+        current, sid = [], None
+        for line, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(SESSION_FIELDS):
+                raise ParseError(
+                    f"expected {len(SESSION_FIELDS)} fields, got {len(row)}", path=where, line=line
+                )
+            if row[2] and row[2] not in groups:
+                raise ParseError(f"unknown group {row[2]!r}", path=where, line=line)
+            if row[0] != sid:
+                if current:
+                    flush(current)
+                current, sid = [], row[0]
+            current.append((line, row))
+        if current:
+            flush(current)
+    return IngestResult(
+        tuple(sessions), counts["total"], counts["filtered"], counts["skipped"], violations
+    )
+
+
+def _set(lines, i, col, value):
+    fields = lines[i].split(",")
+    fields[col] = value
+    lines[i] = ",".join(fields)
+
+
+def _blank_before(*offsets):
+    def mutate(lines, i):
+        for k in sorted(offsets, reverse=True):
+            lines.insert(i + k, "")
+
+    return mutate
+
+
+def _then(*mutations):
+    def mutate(lines, i):
+        for m in mutations:
+            m(lines, i)
+
+    return mutate
+
+
+# (target group, mutation of the lines of one of its sessions, whose
+# first line is lines[i], and the unfiltered outcome without follows)
+INGEST_CASES = {
+    "unmodified": ("left", lambda ls, i: None, "ok"),
+    "rank not an integer": ("left", lambda ls, i: _set(ls, i + 3, 4, "4.0"), "error"),
+    "rank gap": ("left", lambda ls, i: _set(ls, i + 3, 4, "9"), "skip"),
+    "duplicate rank": ("left", lambda ls, i: _set(ls, i + 3, 4, "3"), "skip"),
+    "ranks swapped": (
+        "left",
+        _then(lambda ls, i: _set(ls, i + 3, 4, "5"), lambda ls, i: _set(ls, i + 4, 4, "4")),
+        "skip",
+    ),
+    "rank below one": ("left", lambda ls, i: _set(ls, i, 4, "0"), "skip"),
+    "boolean typo": ("left", lambda ls, i: _set(ls, i + 3, 9, "True"), "error"),
+    "unknown group": ("left", lambda ls, i: _set(ls, i + 3, 2, "centre"), "error"),
+    "extra field": ("left", lambda ls, i: ls.__setitem__(i + 3, ls[i + 3] + ",x"), "error"),
+    "missing field": ("left", lambda ls, i: ls.__setitem__(i + 3, ls[i + 3].rsplit(",", 1)[0]), "error"),
+    "monitor changed": ("left", lambda ls, i: _set(ls, i + 3, 1, "left-999"), "skip"),
+    "group changed": ("left", lambda ls, i: _set(ls, i + 3, 2, "right"), "skip"),
+    "group emptied": ("left", lambda ls, i: _set(ls, i + 3, 2, ""), "skip"),
+    "timestamp changed": ("left", lambda ls, i: _set(ls, i + 3, 3, "2024-10-09T00:00:00Z"), "skip"),
+    "bad timestamp": ("left", lambda ls, i: _set(ls, i, 3, "2024-13-40T00:00:00Z"), "error"),
+    "retweet and quote": (
+        "left",
+        _then(lambda ls, i: _set(ls, i + 3, 8, "true"), lambda ls, i: _set(ls, i + 3, 9, "true")),
+        "skip",
+    ),
+    "neutral in_network": ("neutral", lambda ls, i: _set(ls, i + 3, 11, "true"), "skip"),
+    "duplicate session id": ("left", lambda ls, i: ls.extend(ls[i : i + 12]), "skip"),
+    "blank lines": ("left", _blank_before(2, 5), "ok"),
+    "blank lines, then a typo": (
+        "left",
+        _then(lambda ls, i: _set(ls, i + 6, 10, "no"), _blank_before(2, 5)),
+        "error",
+    ),
+    "blank lines, then a new monitor": (
+        "left",
+        _then(lambda ls, i: _set(ls, i + 6, 1, "left-999"), _blank_before(2, 5)),
+        "skip",
+    ),
+}
+
+
+class TestIngestDifferential:
+    """read_sessions against the row-by-row reference reader on logs with
+    one defect each, with and without follow sets and under each filter."""
+
+    @pytest.fixture(scope="class")
+    def log(self, tmp_path_factory):
+        world = build_world(n_authors=60, seed=5)
+        fleet = FleetConfig(
+            monitors_per_group=2, sessions_per_day=1, duration_days=2, session_length=12
+        )
+        params = RankerParams(seed=5)
+        monitors = make_monitors(world, fleet, params.seed)
+        sessions = run_fleet(world, fleet, params, monitors)
+        path = tmp_path_factory.mktemp("diff") / "log.csv"
+        write_sessions(sessions, path)
+        return {
+            "lines": path.read_text().splitlines(),
+            "follows": {m.id: m.follows for m in monitors},
+            "day2": max(s.captured_at for s in sessions),
+        }
+
+    @staticmethod
+    def outcome(reader, path, **kw):
+        try:
+            res = reader(path, **kw)
+        except ParseError as exc:
+            return ("error", str(exc))
+        return ("result", res.sessions, res.total, res.filtered, res.skipped, dict(res.violations))
+
+    @pytest.mark.parametrize("case", list(INGEST_CASES))
+    def test_matches_reference(self, log, tmp_path, case):
+        group, mutate, expected = INGEST_CASES[case]
+        lines = list(log["lines"])
+        first = next(i for i, line in enumerate(lines) if line.split(",")[2] == group)
+        # the target is the group's second session, so the log has
+        # sessions before and after it
+        target = lines[first].split(",")[0]
+        i = next(k for k in range(first, len(lines)) if lines[k].split(",")[0] != target)
+        monitor = lines[i].split(",")[1]
+        mutate(lines, i)
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+
+        res = self.outcome(read_sessions, path)
+        kind = res[0] if res[0] == "error" else ("skip" if res[4] else "ok")
+        assert kind == expected, res[:1] + res[2:]
+        filters = [
+            {},
+            {"group": "neutral"},
+            {"group": group},
+            {"monitor_id": monitor},
+            {"start": log["day2"]},
+            {"end": log["day2"]},
+        ]
+        for follows in (None, log["follows"]):
+            for kw in filters:
+                got = self.outcome(read_sessions, path, follows=follows, **kw)
+                want = self.outcome(reference_read, path, follows=follows, **kw)
+                assert got == want, (kw, follows is not None)
 
 
 class TestDatasetStats:
