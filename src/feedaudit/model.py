@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from functools import partial
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError
@@ -73,6 +74,13 @@ class TimelineEntry(NamedTuple):
     is_quote: bool
     is_promoted: bool
     in_network: bool
+
+
+#: A :class:`TimelineEntry` from one tuple of its eight fields, in field
+#: order and without the per-call keyword handling of the constructor.
+#: The simulator and the log reader build entries in bulk with
+#: ``map(entry_from_fields, zip(*columns))``.
+entry_from_fields = partial(tuple.__new__, TimelineEntry)
 
 
 @dataclass(frozen=True)

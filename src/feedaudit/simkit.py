@@ -24,18 +24,26 @@ monitors that follow accounts.
 Randomness is hierarchical: every session gets its own generator seeded
 by (seed, group index, monitor index, day, slot), so any session can be
 reproduced in isolation and fleet output is byte-identical across runs.
+
+A session is sampled as numpy arrays and its entries are built column by
+column: ranks 1..L, tweet ids as the session id plus a cached per-rank
+suffix, author ids looked up from the sampled indices, and the four
+flags as Python ``bool`` lists. Every field is a plain ``int``, ``str``
+or ``bool``, never a numpy scalar. The cyclic garbage collector is
+paused while a fleet runs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
-from functools import cached_property
+from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._gc import gc_paused
 from .errors import ConfigError, DataError
 from .model import (
     GROUP_ORDER,
@@ -43,8 +51,8 @@ from .model import (
     GroupLabel,
     MonitorAccount,
     SessionRecord,
-    TimelineEntry,
     ensure_utc,
+    entry_from_fields,
     lean_label,
 )
 
@@ -412,6 +420,13 @@ def make_monitors(
     return tuple(monitors)
 
 
+@lru_cache(maxsize=8)
+def _tweet_suffixes(length: int) -> tuple[str, ...]:
+    """``":0001"`` to the suffix of rank ``length``; a simulated tweet id
+    is its session id plus its rank's suffix (four digits or more)."""
+    return tuple(f":{r:04d}" for r in range(1, length + 1))
+
+
 class _MonitorSampler:
     """Precomputed sampling state for one monitor under fixed params."""
 
@@ -500,20 +515,18 @@ class _MonitorSampler:
                 self.world.n_authors, size=n_rt, replace=True, p=self.retweet_p
             )
 
-        ids = self.world.ids
-        entries = tuple(
-            TimelineEntry(
-                rank=r + 1,
-                tweet_id=f"{session_id}:{r + 1:04d}",
-                author_id=ids[original[r]],
-                displayed_author_id=ids[displayed[r]],
-                is_retweet=bool(is_retweet[r]),
-                is_quote=bool(is_quote[r]),
-                is_promoted=bool(is_promoted[r]),
-                in_network=bool(in_network[r]),
-            )
-            for r in range(length)
+        author = self.world.ids.__getitem__
+        columns = (
+            range(1, length + 1),
+            map(f"{session_id}".__add__, _tweet_suffixes(length)),
+            map(author, original.tolist()),
+            map(author, displayed.tolist()),
+            is_retweet.tolist(),
+            is_quote.tolist(),
+            is_promoted.tolist(),
+            in_network.tolist(),
         )
+        entries = tuple(map(entry_from_fields, zip(*columns)))
         return SessionRecord(
             session_id=session_id,
             monitor_id=monitor_id,
@@ -578,26 +591,27 @@ def run_fleet(
 
     sessions: list[SessionRecord] = []
     per_group_index: dict[GroupLabel, int] = {}
-    for monitor in fleet_monitors:
-        gi = GROUP_ORDER.index(monitor.group)
-        mi = per_group_index.get(monitor.group, 0)
-        per_group_index[monitor.group] = mi + 1
-        sampler = _MonitorSampler(world, monitor, params)
-        length = fleet.length_for(monitor.group)
-        churn = fleet.neutral_churn_days if monitor.group is GroupLabel.NEUTRAL else 0
-        for day in range(fleet.duration_days):
-            monitor_id = monitor.id if not churn else f"{monitor.id}-e{day // churn:02d}"
-            for slot in range(fleet.sessions_per_day):
-                rng = np.random.default_rng(
-                    np.random.SeedSequence(params.seed, spawn_key=(gi, mi, day, slot))
-                )
-                captured_at = fleet.start + timedelta(
-                    days=day, seconds=slot * seconds_per_slot
-                )
-                session_id = f"{monitor_id}-d{day:03d}-t{slot:02d}"
-                sessions.append(
-                    sampler.session(rng, length, session_id, monitor_id, monitor.group, captured_at)
-                )
+    with gc_paused():
+        for monitor in fleet_monitors:
+            gi = GROUP_ORDER.index(monitor.group)
+            mi = per_group_index.get(monitor.group, 0)
+            per_group_index[monitor.group] = mi + 1
+            sampler = _MonitorSampler(world, monitor, params)
+            length = fleet.length_for(monitor.group)
+            churn = fleet.neutral_churn_days if monitor.group is GroupLabel.NEUTRAL else 0
+            for day in range(fleet.duration_days):
+                monitor_id = monitor.id if not churn else f"{monitor.id}-e{day // churn:02d}"
+                for slot in range(fleet.sessions_per_day):
+                    rng = np.random.default_rng(
+                        np.random.SeedSequence(params.seed, spawn_key=(gi, mi, day, slot))
+                    )
+                    captured_at = fleet.start + timedelta(
+                        days=day, seconds=slot * seconds_per_slot
+                    )
+                    session_id = f"{monitor_id}-d{day:03d}-t{slot:02d}"
+                    sessions.append(
+                        sampler.session(rng, length, session_id, monitor_id, monitor.group, captured_at)
+                    )
     sessions.sort(key=lambda s: (s.monitor_id, s.captured_at, s.session_id))
     return sessions
 

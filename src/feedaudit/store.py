@@ -7,6 +7,13 @@ byte-identical files. Timestamps are RFC-3339 UTC with a Z suffix.
 Floats in emitted reports are rendered with six significant digits in
 both CSV and JSON so the two formats carry value-identical numbers.
 
+Writing formats one session at a time: its entries are transposed once,
+the shared ``session_id,monitor_id,group,captured_at`` prefix is
+formatted once, and the rows are joined into one string. A whole-chunk
+check proves that no field needed quoting; a session that fails it, or
+whose fields are not plain ``str``/``int``/``bool`` values, is written
+row by row by ``csv.writer``, so the bytes are the same either way.
+
 Reading streams the log and holds the raw rows of one session at a
 time. Each row is only checked for its field count and group; a
 session's rows are then transposed and parsed column by column, ranks
@@ -14,34 +21,36 @@ with ``int`` and the four flags through one true/false lookup, and its
 entries are built straight from the columns. A fast check that holds
 exactly when :func:`validate_session` would find no violation passes
 the valid sessions; the others go through :func:`validate_session`,
-which names their violations. Line numbers are worked out only for an
-error. Author and displayed-author ids are pooled per read, so each
-distinct id is one string object however many rows name it.
+which names their violations. Line numbers are physical lines of the
+file, where a quoted field may hold a line break; the reader's line
+count marks where each session starts, and the lines of its other rows
+are worked out only for an error or a violation. Author and
+displayed-author ids are pooled per read, so each distinct id is one
+string object however many rows name it.
 """
 
 from __future__ import annotations
 
 import csv
-import gc
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from functools import partial
+from itertools import accumulate, chain, product
 from operator import and_, itemgetter, not_
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._gc import gc_paused
 from .errors import ConfigError, DataError, ParseError
 from .model import (
     GROUP_ORDER,
     AuthorId,
     GroupLabel,
     SessionRecord,
-    TimelineEntry,
+    entry_from_fields,
     ensure_utc,
     lean_label,
     validate_session,
@@ -84,35 +93,39 @@ def _parse_ts(text: str, path: str, line: int) -> datetime:
 
 _FLAGS = {"true": True, "false": False}
 _GROUP_TEXTS = frozenset(["", *(g.value for g in GroupLabel)])
-_entry = partial(tuple.__new__, TimelineEntry)
 
 
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector. Reading a log allocates
-    millions of containers and forms no reference cycle, so collections
-    during the read only rescan objects that are still alive."""
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
+def _line_breaks(row: Sequence[str]) -> int:
+    """The line breaks inside a record's quoted fields: the record spans
+    one physical line more than this. ``\\n``, ``\\r`` and ``\\r\\n`` each
+    end a line, as for a file opened with ``newline=""``."""
+    text = ",".join(row)
+    return text.count("\n") + text.count("\r") - text.count("\r\n")
 
 
-def _first_bad_field(rows: Sequence[Sequence[str]], path: str, line_of) -> ParseError:
+def _row_lines(rows: Sequence[Sequence[str]], first_line: int, blanks: Sequence[int]) -> list[int]:
+    """The physical line each of a session's rows starts on. A row starts
+    one line after the row before it, later by each blank line between
+    them (``blanks`` holds the offsets of the rows that follow one) and by
+    each line break inside the quoted fields of the row before it."""
+    shift = [0, *map(_line_breaks, rows)]
+    for b in blanks:
+        shift[b] += 1
+    return [first_line + i + s for i, s in zip(range(len(rows)), accumulate(shift))]
+
+
+def _first_bad_field(rows: Sequence[Sequence[str]], path: str, lines: Sequence[int]) -> ParseError:
     """The error for a session's first unparseable rank or flag, in row
     order and, within a row, in column order."""
-    for i, row in enumerate(rows):
+    for row, line in zip(rows, lines):
         try:
             int(row[4])
         except ValueError:
-            return ParseError(f"bad rank {row[4]!r}", path=path, line=line_of(i))
+            return ParseError(f"bad rank {row[4]!r}", path=path, line=line)
         for text in row[8:]:
             if text not in _FLAGS:
                 return ParseError(
-                    f"bad boolean {text!r} (expected true/false)", path=path, line=line_of(i)
+                    f"bad boolean {text!r} (expected true/false)", path=path, line=line
                 )
     raise AssertionError("every rank and flag parses")
 
@@ -136,13 +149,63 @@ def _flags_agree(
     return group is not GroupLabel.NEUTRAL or True not in in_network
 
 
+# The text of the four flag fields, keyed on (is_retweet, is_quote,
+# is_promoted, in_network).
+_FLAG_TEXTS = {
+    flags: ",".join("true" if f else "false" for f in flags)
+    for flags in product((False, True), repeat=4)
+}
+
+
+def _session_text(record: SessionRecord, group: str, ts: str) -> str | None:
+    """The CSV rows of one session as a single string, or None when that
+    string might differ from what ``csv.writer`` writes.
+
+    Its fields are formatted without quoting, so the text is taken only
+    when every id is a ``str``, every rank an ``int`` and every flag a
+    ``bool``, and when the whole text holds exactly 11 commas and one
+    newline per row and no quote, carriage return or NUL: then no field
+    needed quoting under ``QUOTE_MINIMAL``.
+    """
+    if not record.entries:
+        return ""
+    ranks, tweet_ids, authors, shown, *flags = zip(*record.entries)
+    if (
+        set(map(type, ranks)) != {int}
+        or {type(record.session_id), type(record.monitor_id), *map(type, tweet_ids),
+            *map(type, authors), *map(type, shown)} != {str}
+        or set(map(type, chain(*flags))) != {bool}
+    ):
+        return None
+    prefix = f"{record.session_id},{record.monitor_id},{group},{ts},".replace("%", "%%")
+    row = (prefix + "%d,%s,%s,%s,%s\n").__mod__
+    flag_texts = map(_FLAG_TEXTS.__getitem__, zip(*flags))
+    text = "".join(map(row, zip(ranks, tweet_ids, authors, shown, flag_texts)))
+    n = len(ranks)
+    if (
+        text.count(",") != 11 * n
+        or text.count("\n") != n
+        or '"' in text
+        or "\r" in text
+        or "\0" in text
+    ):
+        return None
+    return text
+
+
 def write_sessions(
     sessions: Iterable[SessionRecord], path: str | Path, *, append: bool = False
 ) -> int:
     """Write sessions as CSV rows; returns the number of sessions written.
 
     With ``append`` the header is only written when the file is new or
-    empty.
+    empty. Each session is written as one string: its entries are
+    transposed once, its shared ``session_id,monitor_id,group,captured_at``
+    prefix is formatted once and its flags come from one lookup. A
+    session whose text might need quoting, or whose fields are not plain
+    ``str``/``int``/``bool`` values, is written row by row through
+    ``csv.writer`` instead, so the bytes are those of ``csv.writer``
+    either way.
     """
     path = Path(path)
     mode = "a" if append else "w"
@@ -155,8 +218,11 @@ def write_sessions(
         for s in sessions:
             group = s.group.value if s.group is not None else ""
             ts = _format_ts(s.captured_at)
-            for e in s.entries:
-                writer.writerow(
+            text = _session_text(s, group, ts)
+            if text is not None:
+                fh.write(text)
+            else:
+                writer.writerows(
                     (
                         s.session_id,
                         s.monitor_id,
@@ -171,6 +237,7 @@ def write_sessions(
                         "true" if e.is_promoted else "false",
                         "true" if e.in_network else "false",
                     )
+                    for e in s.entries
                 )
             count += 1
     return count
@@ -250,17 +317,13 @@ def read_sessions(
             filtered += 1
             return
 
-        def line_of(i: int) -> int:
-            # blank lines inside the session shift the rows after them
-            return first_line + i + sum(b <= i for b in blanks)
-
         n = len(rows)
         _, mons, grps, stamps, rank_col, tweet_ids, authors, shown, *flag_cols = zip(*rows)
         issues: list[str] = []
         if mons.count(mon) != n or grps.count(grp_text) != n or stamps.count(ts_text) != n:
             issues = [
-                f"line {line_of(i)}: inconsistent session header fields"
-                for i, row in enumerate(rows)
+                f"line {line}: inconsistent session header fields"
+                for row, line in zip(rows, _row_lines(rows, first_line, blanks))
                 if row[1] != mon or row[2] != grp_text or row[3] != ts_text
             ]
         try:
@@ -269,7 +332,7 @@ def read_sessions(
                 list(map(_FLAGS.__getitem__, col)) for col in flag_cols
             )
         except (ValueError, KeyError):
-            raise _first_bad_field(rows, where, line_of) from None
+            raise _first_bad_field(rows, where, _row_lines(rows, first_line, blanks)) from None
         one_to.extend(range(len(one_to) + 1, n + 1))
         expected = one_to[:n]
         in_order = ranks == expected
@@ -277,7 +340,7 @@ def read_sessions(
             ranks = expected
         shown = tuple(map(intern, shown, shown))
         columns = (ranks, tweet_ids, map(intern, authors, authors), shown, retweet, quote, promoted, in_network)
-        entries = tuple(map(_entry, zip(*columns)))
+        entries = tuple(map(entry_from_fields, zip(*columns)))
         record = SessionRecord(
             session_id=sid, monitor_id=mon, captured_at=captured, entries=entries, group=grp
         )
@@ -293,7 +356,7 @@ def read_sessions(
         else:
             sessions.append(record)
 
-    with path.open(newline="", encoding="utf-8") as fh, _gc_paused():
+    with path.open(newline="", encoding="utf-8") as fh, gc_paused():
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -306,21 +369,24 @@ def read_sessions(
         blanks: list[int] = []  # offsets of its rows that follow a blank line
         sid: str | None = None
         first_line = 2
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
+            # Lines are physical lines; a record with a line break in a
+            # quoted field spans more than one. The reader has read up to
+            # the end of this record.
             if not row:
                 blanks.append(len(rows))
                 continue
             if len(row) != width:
-                raise ParseError(
-                    f"expected {width} fields, got {len(row)}", path=where, line=line_no
-                )
+                line = reader.line_num - _line_breaks(row)
+                raise ParseError(f"expected {width} fields, got {len(row)}", path=where, line=line)
             if row[2] not in _GROUP_TEXTS:
-                raise ParseError(f"unknown group {row[2]!r}", path=where, line=line_no)
+                line = reader.line_num - _line_breaks(row)
+                raise ParseError(f"unknown group {row[2]!r}", path=where, line=line)
             if row[0] != sid:
                 if rows:
                     flush(rows, first_line, blanks)
                 rows, blanks = [], []
-                sid, first_line = row[0], line_no
+                sid, first_line = row[0], reader.line_num - _line_breaks(row)
             rows.append(row)
         if rows:
             flush(rows, first_line, blanks)
@@ -367,7 +433,11 @@ class DatasetStats:
 
 def dataset_stats(sessions: Iterable[SessionRecord]) -> DatasetStats:
     """Composition statistics per group: out-of-network, retweet, quote,
-    and promoted shares averaged over monitors."""
+    and promoted shares averaged over monitors.
+
+    A grouped monitor whose sessions hold no entries has no shares and
+    raises :class:`DataError`.
+    """
     # (group, monitor) -> [sessions, tweets, out-of-network, retweets, quotes, promoted]
     counts: dict[tuple[GroupLabel, str], list[int]] = {}
     total_sessions = total_tweets = ungrouped = 0
@@ -391,6 +461,11 @@ def dataset_stats(sessions: Iterable[SessionRecord]) -> DatasetStats:
         if not keys:
             continue
         monitors = [counts[k] for k in keys]
+        for (_, monitor), c in zip(keys, monitors):
+            if not c[1]:
+                raise DataError(
+                    f"group {group.value} monitor {monitor!r} has no tweets; its shares are undefined"
+                )
         stat = {}
         for k, name in enumerate(("oon", "retweet", "quote", "promoted"), start=2):
             shares = np.asarray([c[k] / c[1] for c in monitors])

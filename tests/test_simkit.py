@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from datetime import timedelta
 
 import numpy as np
@@ -180,6 +181,19 @@ class TestRankTimeline:
         rec = rank_timeline(world, monitor, RankerParams(seed=1), length=90)
         assert [e.rank for e in rec.entries] == list(range(1, 91))
 
+    def test_tweet_ids_past_four_digits(self):
+        world = build_world(n_authors=80, seed=1)
+        monitor = MonitorAccount(
+            id="n-0", group=GroupLabel.NEUTRAL, follows=frozenset(), created_at=T0
+        )
+        ids = {}
+        for length in (10_001, 12):
+            rec = rank_timeline(world, monitor, RankerParams(seed=1), length=length, session_id="s")
+            ids[length] = [e.tweet_id for e in rec.entries]
+        assert ids[12] == [f"s:{r:04d}" for r in range(1, 13)]
+        assert ids[10_001][:2] == ["s:0001", "s:0002"]
+        assert ids[10_001][9_998:] == ["s:9999", "s:10000", "s:10001"]
+
     def test_deterministic_with_explicit_rng(self):
         world = build_world(n_authors=80, seed=1)
         monitor = MonitorAccount(
@@ -276,6 +290,27 @@ class TestRankTimeline:
 
 
 class TestRunFleet:
+    def test_entry_field_types(self):
+        # exact types, never numpy scalars: record equality and the log
+        # writer's fast path rely on them
+        world = build_world(n_authors=80, seed=4)
+        sessions = run_fleet(world, small_fleet(), RankerParams(seed=4))
+        types = {tuple(map(type, e)) for s in sessions for e in s.entries}
+        assert types == {(int, str, str, str, bool, bool, bool, bool)}
+
+    def test_gc_state_restored(self):
+        world = build_world(n_authors=80, seed=4)
+        fleet = small_fleet(duration_days=1)
+        assert gc.isenabled()
+        run_fleet(world, fleet, RankerParams(seed=4))
+        assert gc.isenabled()
+        gc.disable()
+        try:
+            run_fleet(world, fleet, RankerParams(seed=4))
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
     def test_session_arithmetic(self):
         world = build_world(n_authors=80, seed=1)
         fleet = small_fleet()

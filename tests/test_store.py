@@ -7,6 +7,7 @@ import hashlib
 import json
 from datetime import datetime, timezone
 
+import numpy as np
 import pytest
 
 from feedaudit import (
@@ -100,6 +101,25 @@ class TestRoundTrip:
         assert back.captured_at.tzinfo is not None
 
 
+class TestGoldenLog:
+    """The bytes of a simulated log and its roster, pinned across changes
+    to the simulator and the writers (seed 7, two monitors per group, one
+    day: 32 sessions, 20,800 rows)."""
+
+    def test_digests(self, tmp_path):
+        world = build_world(seed=7)
+        fleet = FleetConfig(monitors_per_group=2, duration_days=1)
+        sessions = run_fleet(world, fleet, RankerParams(seed=7))
+        write_sessions(sessions, tmp_path / "sessions.csv")
+        write_authors(world.authors, tmp_path / "authors.csv")
+        assert digest(tmp_path / "sessions.csv") == (
+            "6671a5af3945cc2449c15336c76bd0ea28efef363bef2ea358e34c987591e9f7"
+        )
+        assert digest(tmp_path / "authors.csv") == (
+            "4e798b54763585f4fd687814edae9c450a3fb1ec04d20f84f63d768f3edcfbcd"
+        )
+
+
 class TestFilters:
     def test_group_filter(self, fleet_sessions, tmp_path):
         path = tmp_path / "log.csv"
@@ -158,6 +178,18 @@ class TestIngestionDefects:
             read_sessions(path)
         assert ":3" in str(err.value)
 
+    def test_error_line_counts_quoted_line_breaks(self, tmp_path):
+        path = tmp_path / "log.csv"
+        entries = [entry(1, "a", tweet_id="t\nx"), entry(2, "b"), entry(3, "c")]
+        write_sessions([session("s1", "m1", entries, group="left")], path)
+        text = path.read_text()
+        # the third row is on physical line 5: its first field is on line 2
+        assert text.splitlines()[4].startswith("s1,m1,left,")
+        path.write_text(text[: -len("false\n")] + "maybe\n")
+        with pytest.raises(ParseError) as err:
+            read_sessions(path)
+        assert str(err.value).endswith(":5]")
+
     def test_wrong_header(self, tmp_path):
         path = self._write_lines(tmp_path, lambda ls: ls.__setitem__(0, "a,b,c"))
         with pytest.raises(ParseError) as err:
@@ -207,6 +239,97 @@ class TestIngestionDefects:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError):
             read_sessions(tmp_path / "nope.csv")
+
+
+def reference_write(sessions, path, *, append=False):
+    """Row-by-row session-log writer: one ``csv.writer`` row per entry.
+    ``write_sessions`` must write the same bytes."""
+    need_header = not (append and path.exists() and path.stat().st_size > 0)
+    with path.open("a" if append else "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        if need_header:
+            writer.writerow(SESSION_FIELDS)
+        for s in sessions:
+            group = s.group.value if s.group is not None else ""
+            ts = ensure_utc(s.captured_at).isoformat().replace("+00:00", "Z")
+            for e in s.entries:
+                flags = ("true" if flag else "false" for flag in e[4:])
+                writer.writerow((s.session_id, s.monitor_id, group, ts, *e[:4], *flags))
+
+
+def _ids(text):
+    """Two sessions whose session, monitor, tweet and author ids all hold ``text``."""
+    return [
+        session(f"s{text}1", f"m{text}", [
+            entry(1, f"a{text}", tweet_id=f"t{text}"),
+            entry(2, "b", displayed=f"{text}d", rt=True),
+        ], group="left"),
+        authors_session(f"s{text}2", "m", [text, "c"], group="right"),
+    ]
+
+
+def _flags(*values):
+    """One session whose entries carry ``values`` as their retweet,
+    promoted and in_network flags."""
+    return [session("s1", "m1", [
+        entry(r, "a", rt=v, promoted=v, in_net=v) for r, v in enumerate(values, start=1)
+    ], group="left")]
+
+
+# (sessions, whether read_sessions gives them back equal)
+WRITE_CASES = {
+    "plain": (_ids("x"), True),
+    "comma": (_ids("x,y"), True),
+    "double quote": (_ids('x"y'), True),
+    "line feed": (_ids("x\ny"), True),
+    "carriage return": (_ids("x\ry"), False),
+    "CRLF": (_ids("x\r\ny"), True),
+    "NUL": (_ids("x\0y"), True),
+    "percent sign": (_ids("x%dy%%"), True),
+    "non-ASCII": (_ids("\u00e9\u20ac\U0001f600"), True),
+    "non-str ids": (
+        [session(7, "m1", [TimelineEntry(1, None, "a", 3.5, False, False, False, False)], group="left")],
+        False,
+    ),
+    "no group": ([session("s1", "m1", [entry(1, "a"), entry(2, "b")])], True),
+    "empty session": (
+        [session("s0", "m1", [], group="left"), *_ids("x"), session("s9", "m1", [], group="left")],
+        True,
+    ),
+    "numpy ranks": (
+        [session("s1", "m1", [entry(np.int64(r), "a") for r in (1, 2, 3)], group="left")],
+        True,
+    ),
+    "bool rank": ([session("s1", "m1", [entry(True, "a")], group="left")], False),
+    "numpy flags": (_flags(np.True_, np.False_, np.bool_(True)), True),
+    "0/1 flags": (_flags(1, 0, 1), True),
+    "flag 2": (_flags(2, 0), False),
+}
+
+
+class TestWriterDifferential:
+    """write_sessions against the row-by-row reference writer on records
+    whose fields need quoting or are not plain str/int/bool values."""
+
+    @pytest.mark.parametrize("append", [False, True])
+    @pytest.mark.parametrize("case", list(WRITE_CASES))
+    def test_matches_reference(self, tmp_path, case, append):
+        sessions, round_trips = WRITE_CASES[case]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        if append:
+            # the first session, then the others appended to the same file
+            write_sessions(sessions[:1], got)
+            assert write_sessions(sessions[1:], got, append=True) == len(sessions) - 1
+            reference_write(sessions[:1], want)
+            reference_write(sessions[1:], want, append=True)
+        else:
+            assert write_sessions(sessions, got) == len(sessions)
+            reference_write(sessions, want)
+        assert got.read_bytes() == want.read_bytes()
+        if round_trips:
+            res = read_sessions(got)
+            assert res.skipped == 0
+            assert list(res.sessions) == [s for s in sessions if s.entries]
 
 
 def reference_read(path, *, group=None, monitor_id=None, start=None, end=None, follows=None):
@@ -267,8 +390,11 @@ def reference_read(path, *, group=None, monitor_id=None, start=None, end=None, f
         header = next(reader)
         if tuple(header) != SESSION_FIELDS:
             raise ParseError(f"unexpected header {header!r}", path=where, line=1)
-        current, sid = [], None
-        for line, row in enumerate(reader, start=2):
+        current, sid, last = [], None, 1
+        for row in reader:
+            # a record starts on the line after the one the previous record
+            # (or blank line) ended on
+            line, last = last + 1, reader.line_num
             if not row:
                 continue
             if len(row) != len(SESSION_FIELDS):
@@ -311,6 +437,13 @@ def _then(*mutations):
     return mutate
 
 
+def _quoted_breaks(lines, i):
+    # tweet ids holding a line feed, a CRLF, a carriage return, a line
+    # feed then a carriage return, and two line feeds
+    for k, text in ((1, '"t\nx"'), (2, '"t\r\nx"'), (3, '"t\rx"'), (4, '"t\n\ry"'), (5, '"t\n\ny"')):
+        _set(lines, i + k, 5, text)
+
+
 # (target group, mutation of the lines of one of its sessions, whose
 # first line is lines[i], and the unfiltered outcome without follows)
 INGEST_CASES = {
@@ -349,6 +482,32 @@ INGEST_CASES = {
     "blank lines, then a new monitor": (
         "left",
         _then(lambda ls, i: _set(ls, i + 6, 1, "left-999"), _blank_before(2, 5)),
+        "skip",
+    ),
+    "blank line after the session, then a new monitor": (
+        "left",
+        _then(lambda ls, i: _set(ls, i + 6, 1, "left-999"), _blank_before(12)),
+        "skip",
+    ),
+    "blank line after the session, then a typo": (
+        "left",
+        _then(lambda ls, i: _set(ls, i + 11, 10, "no"), _blank_before(12)),
+        "error",
+    ),
+    "quoted line breaks": ("left", _quoted_breaks, "ok"),
+    "quoted line breaks, then a typo": (
+        "left",
+        _then(lambda ls, i: _set(ls, i + 6, 10, "no"), _quoted_breaks),
+        "error",
+    ),
+    "quoted line breaks, one in a row with an unknown group": (
+        "left",
+        _then(lambda ls, i: _set(ls, i + 5, 2, "centre"), _quoted_breaks),
+        "error",
+    ),
+    "quoted line breaks, then a new monitor": (
+        "left",
+        _then(lambda ls, i: _set(ls, i + 6, 1, "left-999"), _quoted_breaks),
         "skip",
     ),
 }
@@ -459,6 +618,14 @@ class TestDatasetStats:
         assert [g.group for g in stats.groups] == ["neutral", "balanced"]
         assert stats.ungrouped_sessions == 1
         assert stats.total_sessions == 3
+
+    def test_monitor_without_tweets_rejected(self):
+        recs = [
+            authors_session("s1", "m1", ["a"], group="left"),
+            session("s2", "m2", [], group="left"),
+        ]
+        with pytest.raises(DataError, match="left.*'m2'"):
+            dataset_stats(recs)
 
     def test_simulated_rates_within_band(self, fleet_sessions):
         stats = dataset_stats(fleet_sessions)
