@@ -14,9 +14,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Sequence
 
+import numpy as np
+
 from .errors import AnalysisError, ConfigError, DataError
 from .decay import DecayModel
-from .model import AuthorId, GroupLabel, LEAN_UNKNOWN, SessionRecord
+from .model import (
+    FLAG_IN_NETWORK,
+    FLAG_PROMOTED,
+    LEAN_UNKNOWN,
+    AuthorId,
+    GroupLabel,
+    SessionRecord,
+    batch_of,
+)
 
 # Which appearances count toward exposure.
 SCOPE_OON = "out-of-network"
@@ -62,6 +72,24 @@ def _check_options(scope: str, attribution: str) -> None:
         )
 
 
+def _row_weights(model: DecayModel, ranks: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The visibility weight of each row: ``model.weights(L)[rank - 1]``
+    for a row of a session of length L, or ``model.visibility(rank)``
+    for a rank past L. ``lengths`` are the sessions' lengths, in row
+    order."""
+    row_lengths = np.repeat(lengths, lengths)
+    weights = np.empty(len(ranks))
+    for length in np.unique(lengths[lengths > 0]).tolist():
+        at = row_lengths == length
+        r = ranks[at]
+        inside = r <= length
+        w = model.weights(length)[np.where(inside, r - 1, 0)]
+        if not inside.all():
+            w[~inside] = [model.visibility(rank) for rank in r[~inside].tolist()]
+        weights[at] = w
+    return weights
+
+
 def build_exposure_table(
     sessions: Iterable[SessionRecord],
     model: DecayModel,
@@ -74,42 +102,40 @@ def build_exposure_table(
 
     All sessions must belong to a single monitor. ``include_promoted``
     only filters the numerator; promoted tweets always count toward N.
+
+    The table is one weighted ``np.bincount`` over the author codes of
+    the rows in scope, which adds each author's weights in row order, so
+    the sums are those of adding them one row at a time. Authors appear
+    in the order of their first row in scope.
     """
     _check_options(scope, attribution)
-    sessions = list(sessions)
-    if not sessions:
+    batch, index = batch_of(sessions)
+    if not len(index):
         raise DataError("cannot build an exposure table from zero sessions")
-    monitor_ids = {s.monitor_id for s in sessions}
+    monitor_ids = {batch.monitor_id[i] for i in index.tolist()}
     if len(monitor_ids) > 1:
         raise DataError(
             f"sessions span multiple monitors: {sorted(monitor_ids)}; "
             "build one table per monitor"
         )
-    groups = {s.group for s in sessions}
+    groups = {batch.group[i] for i in index.tolist()}
     group = groups.pop() if len(groups) == 1 else None
 
-    oon_only = scope == SCOPE_OON
-    by_original = attribution == ATTR_ORIGINAL
-    total = 0
-    sums: dict[AuthorId, float] = {}
-    for s in sessions:
-        if not s.entries:
-            continue
-        total += len(s.entries)
-        weights = model.weights(len(s.entries))
-        for e in s.entries:
-            if oon_only and e.in_network:
-                continue
-            if not include_promoted and e.is_promoted:
-                continue
-            author = e.author_id if by_original else e.displayed_author_id
-            w = weights[e.rank - 1] if e.rank <= len(weights) else model.visibility(e.rank)
-            sums[author] = sums.get(author, 0.0) + w
+    lengths = batch.offsets[index + 1] - batch.offsets[index]
+    total = int(lengths.sum())
     if total == 0:
         raise DataError("sessions contain no tweets")
+    rows = batch.rows(index)
+    flags = batch.flags[rows]
+    excluded = (FLAG_IN_NETWORK if scope == SCOPE_OON else 0) | (0 if include_promoted else FLAG_PROMOTED)
+    in_scope = (flags & excluded) == 0
+    codes = (batch.author if attribution == ATTR_ORIGINAL else batch.shown)[rows][in_scope]
+    sums = np.bincount(codes, weights=_row_weights(model, batch.rank[rows], lengths)[in_scope])
+    present, first = np.unique(codes, return_index=True)
+    present = present[np.argsort(first)]
 
     scale = 1000.0 / total
-    entries = {a: w * scale for a, w in sums.items()}
+    entries = dict(zip(map(batch.ids.__getitem__, present.tolist()), sums[present] * scale))
     return ExposureTable(
         monitor_id=monitor_ids.pop(),
         total_tweets=total,

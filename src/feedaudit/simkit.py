@@ -25,12 +25,14 @@ Randomness is hierarchical: every session gets its own generator seeded
 by (seed, group index, monitor index, day, slot), so any session can be
 reproduced in isolation and fleet output is byte-identical across runs.
 
-A session is sampled as numpy arrays and its entries are built column by
-column: ranks 1..L, tweet ids as the session id plus a cached per-rank
-suffix, author ids looked up from the sampled indices, and the four
-flags as Python ``bool`` lists. Every field is a plain ``int``, ``str``
-or ``bool``, never a numpy scalar. The cyclic garbage collector is
-paused while a fleet runs.
+A session is sampled as numpy arrays and written straight into the
+columns of one :class:`~feedaudit.model.SessionBatch` per fleet: author
+codes are the sampled world indices (the batch's id table is
+``world.ids``), ranks are 1..L, the four flags are one mask per row, and
+the tweet ids are the session id joined onto a cached per-rank suffix.
+No per-row Python object is built; the returned records are views of
+the batch. Sessions are sampled in their canonical order, so the
+columns need no reordering.
 """
 
 from __future__ import annotations
@@ -38,21 +40,25 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property, lru_cache
+from operator import itemgetter
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from ._gc import gc_paused
 from .errors import ConfigError, DataError
 from .model import (
+    FLAG_IN_NETWORK,
+    FLAG_PROMOTED,
+    FLAG_QUOTE,
+    FLAG_RETWEET,
     GROUP_ORDER,
     AuthorId,
+    BatchBuilder,
     GroupLabel,
     MonitorAccount,
     SessionRecord,
     ensure_utc,
-    entry_from_fields,
     lean_label,
 )
 
@@ -421,10 +427,17 @@ def make_monitors(
 
 
 @lru_cache(maxsize=8)
-def _tweet_suffixes(length: int) -> tuple[str, ...]:
-    """``":0001"`` to the suffix of rank ``length``; a simulated tweet id
-    is its session id plus its rank's suffix (four digits or more)."""
-    return tuple(f":{r:04d}" for r in range(1, length + 1))
+def _tweet_suffixes(length: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """For sessions of ``length`` rows: ``""`` then the suffix of each
+    rank, ``":0001"`` on (four digits or more), which a session id joins
+    into the session's tweet ids; the running total of the suffix
+    lengths; and the ranks 1..length."""
+    suffixes = tuple(f":{r:04d}" for r in range(1, length + 1))
+    ends = np.cumsum([len(x) for x in suffixes], dtype=np.int64)
+    ranks = np.arange(1, length + 1, dtype=np.int32)
+    for values in (ends, ranks):
+        values.setflags(write=False)
+    return ("", *suffixes), ends, ranks
 
 
 class _MonitorSampler:
@@ -432,6 +445,7 @@ class _MonitorSampler:
 
     def __init__(self, world: SimWorld, monitor: MonitorAccount, params: RankerParams):
         self.world = world
+        self.monitor = monitor
         self.params = params
         lean = world.lean_array
         pop = world.popularity_array
@@ -473,13 +487,15 @@ class _MonitorSampler:
 
     def session(
         self,
+        batch: BatchBuilder,
         rng: np.random.Generator,
         length: int,
         session_id: str,
         monitor_id: str,
         group: GroupLabel,
         captured_at: datetime,
-    ) -> SessionRecord:
+    ) -> None:
+        """Sample one session and append it to ``batch``."""
         params = self.params
         if self.has_follows:
             n_oon = int(rng.binomial(length, self.mix))
@@ -515,24 +531,17 @@ class _MonitorSampler:
                 self.world.n_authors, size=n_rt, replace=True, p=self.retweet_p
             )
 
-        author = self.world.ids.__getitem__
-        columns = (
-            range(1, length + 1),
-            map(f"{session_id}".__add__, _tweet_suffixes(length)),
-            map(author, original.tolist()),
-            map(author, displayed.tolist()),
-            is_retweet.tolist(),
-            is_quote.tolist(),
-            is_promoted.tolist(),
-            in_network.tolist(),
+        flags = (
+            is_retweet * FLAG_RETWEET
+            | is_quote * FLAG_QUOTE
+            | is_promoted * FLAG_PROMOTED
+            | in_network * FLAG_IN_NETWORK
         )
-        entries = tuple(map(entry_from_fields, zip(*columns)))
-        return SessionRecord(
-            session_id=session_id,
-            monitor_id=monitor_id,
-            captured_at=captured_at,
-            entries=entries,
-            group=group,
+        joins, suffix_ends, ranks = _tweet_suffixes(length)
+        prefix = f"{session_id}"
+        batch.add(
+            session_id, monitor_id, captured_at, group, original, displayed, ranks, flags,
+            prefix.join(joins), suffix_ends + len(prefix) * ranks,
         )
 
 
@@ -556,7 +565,9 @@ def rank_timeline(
     sampler = _MonitorSampler(world, monitor, params)
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(7,)))
-    return sampler.session(
+    batch = BatchBuilder()
+    sampler.session(
+        batch,
         rng,
         length,
         session_id or f"{monitor.id}-adhoc",
@@ -564,6 +575,7 @@ def rank_timeline(
         monitor.group,
         ensure_utc(captured_at) if captured_at else monitor.created_at,
     )
+    return batch.build(world.ids).records()[0]
 
 
 def run_fleet(
@@ -589,31 +601,31 @@ def run_fleet(
     )
     seconds_per_slot = 86400 // fleet.sessions_per_day
 
-    sessions: list[SessionRecord] = []
+    # Every capture as (canonical sort key, monitor, random stream key).
+    captures = []
     per_group_index: dict[GroupLabel, int] = {}
-    with gc_paused():
-        for monitor in fleet_monitors:
-            gi = GROUP_ORDER.index(monitor.group)
-            mi = per_group_index.get(monitor.group, 0)
-            per_group_index[monitor.group] = mi + 1
+    for monitor in fleet_monitors:
+        gi = GROUP_ORDER.index(monitor.group)
+        mi = per_group_index.get(monitor.group, 0)
+        per_group_index[monitor.group] = mi + 1
+        churn = fleet.neutral_churn_days if monitor.group is GroupLabel.NEUTRAL else 0
+        for day in range(fleet.duration_days):
+            monitor_id = monitor.id if not churn else f"{monitor.id}-e{day // churn:02d}"
+            for slot in range(fleet.sessions_per_day):
+                captured_at = fleet.start + timedelta(days=day, seconds=slot * seconds_per_slot)
+                session_id = f"{monitor_id}-d{day:03d}-t{slot:02d}"
+                captures.append(((monitor_id, captured_at, session_id), monitor, (gi, mi, day, slot)))
+    captures.sort(key=itemgetter(0))
+
+    batch = BatchBuilder()
+    sampler = None
+    for (monitor_id, captured_at, session_id), monitor, stream in captures:
+        if sampler is None or sampler.monitor is not monitor:
             sampler = _MonitorSampler(world, monitor, params)
-            length = fleet.length_for(monitor.group)
-            churn = fleet.neutral_churn_days if monitor.group is GroupLabel.NEUTRAL else 0
-            for day in range(fleet.duration_days):
-                monitor_id = monitor.id if not churn else f"{monitor.id}-e{day // churn:02d}"
-                for slot in range(fleet.sessions_per_day):
-                    rng = np.random.default_rng(
-                        np.random.SeedSequence(params.seed, spawn_key=(gi, mi, day, slot))
-                    )
-                    captured_at = fleet.start + timedelta(
-                        days=day, seconds=slot * seconds_per_slot
-                    )
-                    session_id = f"{monitor_id}-d{day:03d}-t{slot:02d}"
-                    sessions.append(
-                        sampler.session(rng, length, session_id, monitor_id, monitor.group, captured_at)
-                    )
-    sessions.sort(key=lambda s: (s.monitor_id, s.captured_at, s.session_id))
-    return sessions
+        rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=stream))
+        length = fleet.length_for(monitor.group)
+        sampler.session(batch, rng, length, session_id, monitor_id, monitor.group, captured_at)
+    return batch.build(world.ids).records()
 
 
 def lean_labels(

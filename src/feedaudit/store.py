@@ -7,50 +7,64 @@ byte-identical files. Timestamps are RFC-3339 UTC with a Z suffix.
 Floats in emitted reports are rendered with six significant digits in
 both CSV and JSON so the two formats carry value-identical numbers.
 
-Writing formats one session at a time: its entries are transposed once,
-the shared ``session_id,monitor_id,group,captured_at`` prefix is
-formatted once, and the rows are joined into one string. A whole-chunk
-check proves that no field needed quoting; a session that fails it, or
-whose fields are not plain ``str``/``int``/``bool`` values, is written
-row by row by ``csv.writer``, so the bytes are the same either way.
+Sessions in memory are the columns of a
+:class:`~feedaudit.model.SessionBatch`; see :mod:`feedaudit.model`.
+
+Writing formats one session at a time from its columns: the shared
+``session_id,monitor_id,group,captured_at`` prefix is formatted once,
+the flags of a row come from its mask, and the rows are joined into one
+string. A whole-chunk check proves that no field needed quoting; a
+session that fails it, or whose fields are not plain ``str``/``int``
+values, is written row by row by ``csv.writer``, so the bytes are the
+same either way. A field holding a carriage return is quoted as well,
+since the reader would otherwise take it for a line break.
 
 Reading streams the log and holds the raw rows of one session at a
 time. Each row is only checked for its field count and group; a
-session's rows are then transposed and parsed column by column, ranks
-with ``int`` and the four flags through one true/false lookup, and its
-entries are built straight from the columns. A fast check that holds
-exactly when :func:`validate_session` would find no violation passes
-the valid sessions; the others go through :func:`validate_session`,
-which names their violations. Line numbers are physical lines of the
-file, where a quoted field may hold a line break; the reader's line
-count marks where each session starts, and the lines of its other rows
-are worked out only for an error or a violation. Author and
-displayed-author ids are pooled per read, so each distinct id is one
-string object however many rows name it.
+session's rows are then transposed and parsed column by column into one
+batch: author and displayed-author ids become codes through one table
+per read, and the four flags of a row one mask through one lookup. A
+fast check over those columns that holds exactly when
+:func:`validate_session` would find no violation passes the valid
+sessions; the others are built as records and go through
+:func:`validate_session`, which names their violations. Line numbers
+are physical lines of the file, where a quoted field may hold a line
+break; the reader's line count marks where each session starts, and the
+lines of its other rows are worked out only for an error or a
+violation. Per-row counts such as :func:`dataset_stats` come from the
+flag masks, session by session over the batch offsets.
 """
 
 from __future__ import annotations
 
 import csv
+import gc
+import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import accumulate, chain, product
-from operator import and_, itemgetter, not_
+from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._gc import gc_paused
 from .errors import ConfigError, DataError, ParseError
 from .model import (
+    FLAG_BITS,
+    FLAG_IN_NETWORK,
+    FLAG_PROMOTED,
+    FLAG_QUOTE,
+    FLAG_RETWEET,
     GROUP_ORDER,
     AuthorId,
+    BatchBuilder,
     GroupLabel,
     SessionRecord,
-    entry_from_fields,
+    TimelineEntry,
+    batch_of,
     ensure_utc,
     lean_label,
     validate_session,
@@ -91,8 +105,24 @@ def _parse_ts(text: str, path: str, line: int) -> datetime:
     return ensure_utc(dt)
 
 
-_FLAGS = {"true": True, "false": False}
+_BOOLEANS = frozenset(["true", "false"])
 _GROUP_TEXTS = frozenset(["", *(g.value for g in GroupLabel)])
+
+
+@contextmanager
+def _gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector, restoring its state on exit.
+
+    A read allocates a list per row; collections in the middle only
+    rescan rows that are still alive and form no reference cycle.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _line_breaks(row: Sequence[str]) -> int:
@@ -123,63 +153,61 @@ def _first_bad_field(rows: Sequence[Sequence[str]], path: str, lines: Sequence[i
         except ValueError:
             return ParseError(f"bad rank {row[4]!r}", path=path, line=line)
         for text in row[8:]:
-            if text not in _FLAGS:
+            if text not in _BOOLEANS:
                 return ParseError(
                     f"bad boolean {text!r} (expected true/false)", path=path, line=line
                 )
     raise AssertionError("every rank and flag parses")
 
 
-def _flags_agree(
-    retweet: Sequence[bool],
-    quote: Sequence[bool],
-    in_network: Sequence[bool],
-    displayed: Sequence[AuthorId],
-    follow_set: Iterable[AuthorId] | None,
-    group: GroupLabel | None,
+def _valid_flags(
+    flags: np.ndarray, shown: Sequence[int], follow_codes: list[int] | None, group: GroupLabel | None
 ) -> bool:
     """For a session whose ranks are 1..L: true exactly when
-    :func:`validate_session` finds no violation, that is no entry is
-    both retweet and quote and in_network matches the follow set when
-    one applies (an empty one for a neutral session)."""
-    if any(map(and_, retweet, quote)):
+    :func:`validate_session` finds no violation, that is no row is both
+    retweet and quote, and the in-network bits match the follow set (its
+    authors' codes) when one applies, or are all clear for a neutral
+    session."""
+    if ((flags & (FLAG_RETWEET | FLAG_QUOTE)) == FLAG_RETWEET | FLAG_QUOTE).any():
         return False
-    if follow_set is not None:
-        return in_network == list(map(frozenset(follow_set).__contains__, displayed))
-    return group is not GroupLabel.NEUTRAL or True not in in_network
+    in_network = (flags & FLAG_IN_NETWORK) != 0
+    if follow_codes is not None:
+        return np.array_equal(in_network, np.isin(shown, follow_codes))
+    return group is not GroupLabel.NEUTRAL or not in_network.any()
 
 
-# The text of the four flag fields, keyed on (is_retweet, is_quote,
-# is_promoted, in_network).
-_FLAG_TEXTS = {
-    flags: ",".join("true" if f else "false" for f in flags)
-    for flags in product((False, True), repeat=4)
-}
+# The flag fields of a row, keyed on its flag mask, and the mask keyed on
+# the text of the four fields.
+_FLAG_FIELDS = tuple(
+    tuple("true" if mask & bit else "false" for bit in FLAG_BITS) for mask in range(16)
+)
+_FLAG_TEXTS = tuple(map(",".join, _FLAG_FIELDS))
+_MASKS = {fields: mask for mask, fields in enumerate(_FLAG_FIELDS)}
 
 
-def _session_text(record: SessionRecord, group: str, ts: str) -> str | None:
+def _session_text(
+    record: SessionRecord, group: str, ts: str, columns: tuple[Sequence, ...]
+) -> str | None:
     """The CSV rows of one session as a single string, or None when that
     string might differ from what ``csv.writer`` writes.
 
     Its fields are formatted without quoting, so the text is taken only
-    when every id is a ``str``, every rank an ``int`` and every flag a
-    ``bool``, and when the whole text holds exactly 11 commas and one
-    newline per row and no quote, carriage return or NUL: then no field
-    needed quoting under ``QUOTE_MINIMAL``.
+    when every id is a ``str`` and every rank an ``int``, and when the
+    whole text holds exactly 11 commas and one newline per row and no
+    quote, carriage return or NUL: then no field needed quoting.
     """
-    if not record.entries:
+    ranks, tweet_ids, authors, shown, masks = columns
+    if not ranks:
         return ""
-    ranks, tweet_ids, authors, shown, *flags = zip(*record.entries)
     if (
         set(map(type, ranks)) != {int}
         or {type(record.session_id), type(record.monitor_id), *map(type, tweet_ids),
             *map(type, authors), *map(type, shown)} != {str}
-        or set(map(type, chain(*flags))) != {bool}
     ):
         return None
     prefix = f"{record.session_id},{record.monitor_id},{group},{ts},".replace("%", "%%")
     row = (prefix + "%d,%s,%s,%s,%s\n").__mod__
-    flag_texts = map(_FLAG_TEXTS.__getitem__, zip(*flags))
+    flag_texts = map(_FLAG_TEXTS.__getitem__, masks)
     text = "".join(map(row, zip(ranks, tweet_ids, authors, shown, flag_texts)))
     n = len(ranks)
     if (
@@ -199,46 +227,41 @@ def write_sessions(
     """Write sessions as CSV rows; returns the number of sessions written.
 
     With ``append`` the header is only written when the file is new or
-    empty. Each session is written as one string: its entries are
-    transposed once, its shared ``session_id,monitor_id,group,captured_at``
-    prefix is formatted once and its flags come from one lookup. A
-    session whose text might need quoting, or whose fields are not plain
-    ``str``/``int``/``bool`` values, is written row by row through
-    ``csv.writer`` instead, so the bytes are those of ``csv.writer``
-    either way.
+    empty. Each session is written from its columns
+    (:meth:`SessionRecord.columns`, which a batch view reads from its
+    batch) as one string: its shared
+    ``session_id,monitor_id,group,captured_at`` prefix is formatted once
+    and its flags come from one lookup. A session whose text might need
+    quoting, or whose fields are not plain ``str``/``int`` values, is
+    written row by row through ``csv.writer`` instead, so the bytes are
+    those of ``csv.writer`` either way, except that a field holding a
+    carriage return is quoted too, so that the log reads back.
     """
     path = Path(path)
     mode = "a" if append else "w"
     need_header = not (append and path.exists() and path.stat().st_size > 0)
     count = 0
+    # A "\r\n" line terminator makes csv.writer quote every field that
+    # holds "\r" or "\n"; each row's terminator is then written as "\n".
+    row_buffer = io.StringIO()
+    writer = csv.writer(row_buffer, lineterminator="\r\n")
     with path.open(mode, newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
         if need_header:
-            writer.writerow(SESSION_FIELDS)
+            fh.write(",".join(SESSION_FIELDS) + "\n")
         for s in sessions:
             group = s.group.value if s.group is not None else ""
             ts = _format_ts(s.captured_at)
-            text = _session_text(s, group, ts)
+            columns = s.columns()
+            text = _session_text(s, group, ts, columns)
             if text is not None:
                 fh.write(text)
             else:
-                writer.writerows(
-                    (
-                        s.session_id,
-                        s.monitor_id,
-                        group,
-                        ts,
-                        e.rank,
-                        e.tweet_id,
-                        e.author_id,
-                        e.displayed_author_id,
-                        "true" if e.is_retweet else "false",
-                        "true" if e.is_quote else "false",
-                        "true" if e.is_promoted else "false",
-                        "true" if e.in_network else "false",
-                    )
-                    for e in s.entries
-                )
+                ranks, tweet_ids, authors, shown, masks = columns
+                for row in zip(ranks, tweet_ids, authors, shown, map(_FLAG_FIELDS.__getitem__, masks)):
+                    row_buffer.seek(0)
+                    row_buffer.truncate()
+                    writer.writerow((s.session_id, s.monitor_id, group, ts, *row[:4], *row[4]))
+                    fh.write(row_buffer.getvalue()[:-2] + "\n")
             count += 1
     return count
 
@@ -281,11 +304,13 @@ def read_sessions(
     The log is streamed one session at a time. Each row's field count
     and group are checked, but a filtered session is parsed no further
     than its capture time. The other sessions are parsed column by
-    column; one whose ranks are 1..L and whose flags pass
-    :func:`_flags_agree` is valid, and any other is checked by
+    column into one :class:`~feedaudit.model.SessionBatch`: author and
+    displayed-author ids are coded through one table per read, and the
+    four flags of a row become one mask through one lookup. A session
+    whose ranks are 1..L and whose masks pass :func:`_valid_flags` is
+    valid; any other is built as a record and checked by
     :func:`validate_session`, so its violation messages are the same as
-    for a record built by hand. Equal author ids share one string
-    object across the result, and ranks 1..L one int object each.
+    for a record built by hand. ``sessions`` are views of the batch.
     """
     path = Path(path)
     if not path.exists():
@@ -295,15 +320,22 @@ def read_sessions(
     start = ensure_utc(start) if start else None
     end = ensure_utc(end) if end else None
 
-    sessions: list[SessionRecord] = []
+    batch = BatchBuilder()
     violations: dict[str, tuple[str, ...]] = {}
     seen_ids: set[str] = set()
     total = filtered = skipped = 0
-    intern = {}.setdefault  # one string object per distinct author id
-    one_to: list[int] = []  # 1..L for the longest session so far
+    code: dict[AuthorId, int] = {}  # author id -> its code, in order of first appearance
+    rank_texts: tuple[str, ...] = ()  # "1".."L" for the longest session so far
+    ranks = np.empty(0, np.int32)  # 1..L likewise
+
+    def encode(ids: Sequence[AuthorId]) -> list[int]:
+        codes = list(map(code.get, ids))
+        if None in codes:
+            codes = [code.setdefault(a, len(code)) for a in ids]
+        return codes
 
     def flush(rows: list[list[str]], first_line: int, blanks: list[int]) -> None:
-        nonlocal total, filtered, skipped
+        nonlocal total, filtered, skipped, rank_texts, ranks
         total += 1
         sid, mon, grp_text, ts_text = rows[0][:4]
         grp = GroupLabel(grp_text) if grp_text else None
@@ -326,37 +358,38 @@ def read_sessions(
                 for row, line in zip(rows, _row_lines(rows, first_line, blanks))
                 if row[1] != mon or row[2] != grp_text or row[3] != ts_text
             ]
+        if len(rank_texts) < n:
+            rank_texts = tuple(map(str, range(1, n + 1)))
+            ranks = np.arange(1, n + 1, dtype=np.int32)
         try:
-            ranks = list(map(int, rank_col))
-            retweet, quote, promoted, in_network = (
-                list(map(_FLAGS.__getitem__, col)) for col in flag_cols
-            )
-        except (ValueError, KeyError):
+            flags = np.frombuffer(bytes(map(_MASKS.__getitem__, zip(*flag_cols))), np.uint8)
+            in_order = rank_col == rank_texts[:n]
+            parsed = None if in_order else list(map(int, rank_col))
+        except (KeyError, ValueError):
             raise _first_bad_field(rows, where, _row_lines(rows, first_line, blanks)) from None
-        one_to.extend(range(len(one_to) + 1, n + 1))
-        expected = one_to[:n]
-        in_order = ranks == expected
-        if in_order:
-            ranks = expected
-        shown = tuple(map(intern, shown, shown))
-        columns = (ranks, tweet_ids, map(intern, authors, authors), shown, retweet, quote, promoted, in_network)
-        entries = tuple(map(entry_from_fields, zip(*columns)))
-        record = SessionRecord(
-            session_id=sid, monitor_id=mon, captured_at=captured, entries=entries, group=grp
-        )
+        in_order = in_order or parsed == ranks[:n].tolist()
+        author_codes, shown_codes = encode(authors), encode(shown)
         if sid in seen_ids:
             issues.append("duplicate session id")
         seen_ids.add(sid)
         follow_set = follows.get(mon) if follows is not None else None
-        if not (in_order and _flags_agree(retweet, quote, in_network, shown, follow_set, grp)):
-            issues.extend(validate_session(record, follow_set))
+        follow_codes = None if follow_set is None else [code[a] for a in follow_set if a in code]
+        if not (in_order and _valid_flags(flags, shown_codes, follow_codes, grp)):
+            rank_values = ranks[:n].tolist() if parsed is None else parsed
+            bits = [((flags & bit) != 0).tolist() for bit in FLAG_BITS]
+            entries = tuple(map(TimelineEntry._make, zip(rank_values, tweet_ids, authors, shown, *bits)))
+            issues.extend(validate_session(SessionRecord(sid, mon, captured, entries, grp), follow_set))
         if issues:
             skipped += 1
             violations[sid] = tuple(issues)
-        else:
-            sessions.append(record)
+            return
+        # A valid session's ranks are 1..n.
+        batch.add(
+            sid, mon, captured, grp, author_codes, shown_codes, ranks[:n], flags,
+            "".join(tweet_ids), np.cumsum(np.fromiter(map(len, tweet_ids), np.int64, n)),
+        )
 
-    with path.open(newline="", encoding="utf-8") as fh, gc_paused():
+    with path.open(newline="", encoding="utf-8") as fh, _gc_paused():
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -392,7 +425,7 @@ def read_sessions(
             flush(rows, first_line, blanks)
 
     return IngestResult(
-        sessions=tuple(sessions),
+        sessions=tuple(batch.build(tuple(code)).records()),
         total=total,
         filtered=filtered,
         skipped=skipped,
@@ -435,25 +468,40 @@ def dataset_stats(sessions: Iterable[SessionRecord]) -> DatasetStats:
     """Composition statistics per group: out-of-network, retweet, quote,
     and promoted shares averaged over monitors.
 
-    A grouped monitor whose sessions hold no entries has no shares and
+    Each session's counts come from the flag masks of its rows. A
+    grouped monitor whose sessions hold no entries has no shares and
     raises :class:`DataError`.
     """
-    # (group, monitor) -> [sessions, tweets, out-of-network, retweets, quotes, promoted]
+    batch, index = batch_of(sessions)
+    flags = batch.flags[batch.rows(index)]
+    lengths = batch.offsets[index + 1] - batch.offsets[index]
+    stops = np.cumsum(lengths)
+    starts = stops - lengths
+
+    def per_session(bit: int) -> np.ndarray:
+        running = np.concatenate(([0], np.cumsum((flags & bit) != 0)))
+        return running[stops] - running[starts]
+
+    # per session: [sessions, tweets, out-of-network, retweets, quotes, promoted]
+    per = np.column_stack([
+        np.ones_like(lengths),
+        lengths,
+        lengths - per_session(FLAG_IN_NETWORK),
+        per_session(FLAG_RETWEET),
+        per_session(FLAG_QUOTE),
+        per_session(FLAG_PROMOTED),
+    ]).tolist()
+    # (group, monitor) -> the sums of those counts
     counts: dict[tuple[GroupLabel, str], list[int]] = {}
-    total_sessions = total_tweets = ungrouped = 0
-    for s in sessions:
-        entries = s.entries
-        total_sessions += 1
-        total_tweets += len(entries)
-        if s.group is None:
+    ungrouped = 0
+    for i, c in zip(index.tolist(), per):
+        group = batch.group[i]
+        if group is None:
             ungrouped += 1
             continue
-        c = counts.setdefault((s.group, s.monitor_id), [0] * 6)
-        c[0] += 1
-        c[1] += len(entries)
-        c[2] += sum(map(not_, map(itemgetter(7), entries)))  # not in_network
-        for k in (3, 4, 5):  # is_retweet, is_quote, is_promoted: fields 4, 5, 6
-            c[k] += sum(map(itemgetter(k + 1), entries))
+        total = counts.setdefault((group, batch.monitor_id[i]), [0] * 6)
+        for k, value in enumerate(c):
+            total[k] += value
 
     groups = []
     for group in GROUP_ORDER:
@@ -482,8 +530,8 @@ def dataset_stats(sessions: Iterable[SessionRecord]) -> DatasetStats:
         )
     return DatasetStats(
         groups=tuple(groups),
-        total_sessions=total_sessions,
-        total_tweets=total_tweets,
+        total_sessions=len(index),
+        total_tweets=int(lengths.sum()),
         ungrouped_sessions=ungrouped,
     )
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import gc
 from datetime import timedelta
 
 import numpy as np
@@ -297,19 +296,6 @@ class TestRunFleet:
         sessions = run_fleet(world, small_fleet(), RankerParams(seed=4))
         types = {tuple(map(type, e)) for s in sessions for e in s.entries}
         assert types == {(int, str, str, str, bool, bool, bool, bool)}
-
-    def test_gc_state_restored(self):
-        world = build_world(n_authors=80, seed=4)
-        fleet = small_fleet(duration_days=1)
-        assert gc.isenabled()
-        run_fleet(world, fleet, RankerParams(seed=4))
-        assert gc.isenabled()
-        gc.disable()
-        try:
-            run_fleet(world, fleet, RankerParams(seed=4))
-            assert not gc.isenabled()
-        finally:
-            gc.enable()
 
     def test_session_arithmetic(self):
         world = build_world(n_authors=80, seed=1)
