@@ -16,30 +16,47 @@ the flags of a row come from its mask, and the rows are joined into one
 string. A whole-chunk check proves that no field needed quoting; a
 session that fails it, or whose fields are not plain ``str``/``int``
 values, is written row by row by ``csv.writer``, so the bytes are the
-same either way. A field holding a carriage return is quoted as well,
-since the reader would otherwise take it for a line break.
+same either way. Every CSV writer here, for logs, rosters and reports,
+also quotes a field holding a carriage return, since a reader would
+otherwise take it for a line break.
 
-Reading streams the log and holds the raw rows of one session at a
-time. Each row is only checked for its field count and group; a
-session's rows are then transposed and parsed column by column into one
-batch: author and displayed-author ids become codes through one table
-per read, and the four flags of a row one mask through one lookup. A
-fast check over those columns that holds exactly when
-:func:`validate_session` would find no violation passes the valid
-sessions; the others are built as records and go through
-:func:`validate_session`, which names their violations. Line numbers
-are physical lines of the file, where a quoted field may hold a line
-break; the reader's line count marks where each session starts, and the
-lines of its other rows are worked out only for an error or a
-violation. Per-row counts such as :func:`dataset_stats` come from the
-flag masks, session by session over the batch offsets.
+Reading tokenizes the log block by block (Langdale & Lemire's
+structural index, "Parsing Gigabytes of JSON per Second", 2019): the
+log is read in binary in blocks of about 256 KB cut at a line end,
+numpy finds every line feed and comma first, and fields are read from
+their positions. A block is taken this way only when ``csv.reader``
+would split it at the same commas: it is ASCII with no double quote,
+carriage return or NUL, every line holds 11 commas, none is longer
+than ``csv.field_size_limit()``, and the fields read as fixed-width
+columns (session id, rank, author and displayed-author ids, flags) are
+at most ``_FIELD_BYTES`` long, so that those columns take memory in
+proportion to the block. Its sessions are then checked column by
+column: the rows of a session share its
+``session_id,monitor_id,group,captured_at`` prefix, whose group is
+known, ranks run 1..L, and the flag fields are ``true``/``false``. The
+author and displayed-author ids of a block are coded through one
+``np.unique`` of their fixed-width bytes, in order of first appearance,
+and a session that passes goes into one batch straight from the byte
+columns, with no object per row. The last session of a block may go on
+in the next one, so it is carried over. There are three fallbacks, and
+each gives what the row loop alone would, down to an error's message
+and line: a session that fails a column check is rebuilt as rows from
+its lines and goes through the per-session path, which builds a record
+and has :func:`validate_session` name its violations; when a block is
+not plain or a session raises, what was read is dropped and a
+``csv.reader`` row loop reads the log again from its first line, as it
+does a log whose first line is not the bare header. The row loop checks
+each row's field count and group and parses a session's rows column by
+column through the same per-session path. Line numbers are physical
+lines of the file, where a quoted field may hold a line break. Per-row
+counts such as :func:`dataset_stats` come from the flag masks, session
+by session over the batch offsets.
 """
 
 from __future__ import annotations
 
 import csv
 import gc
-import io
 import json
 import math
 from contextlib import contextmanager
@@ -47,7 +64,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import accumulate
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -113,8 +130,9 @@ _GROUP_TEXTS = frozenset(["", *(g.value for g in GroupLabel)])
 def _gc_paused() -> Iterator[None]:
     """Pause the cyclic garbage collector, restoring its state on exit.
 
-    A read allocates a list per row; collections in the middle only
-    rescan rows that are still alive and form no reference cycle.
+    The row loop of a read allocates a list per row; collections in the
+    middle only rescan rows that are still alive and form no reference
+    cycle.
     """
     enabled = gc.isenabled()
     gc.disable()
@@ -185,6 +203,25 @@ _FLAG_TEXTS = tuple(map(",".join, _FLAG_FIELDS))
 _MASKS = {fields: mask for mask, fields in enumerate(_FLAG_FIELDS)}
 
 
+class _LineFeedRows:
+    """The file that :func:`_csv_writer` writes to: each row goes to
+    ``fh`` with its ``"\\r\\n"`` terminator cut to ``"\\n"``."""
+
+    def __init__(self, fh: TextIO) -> None:
+        self._write = fh.write
+
+    def write(self, row: str) -> None:
+        self._write(row[:-2] + "\n")
+
+
+def _csv_writer(fh: TextIO):
+    """A ``csv.writer`` on ``fh`` whose rows end in ``"\\n"``. Its
+    ``"\\r\\n"`` terminator makes it quote every field that holds a
+    carriage return as well as a line feed, so that a lone ``"\\r"``
+    reads back inside its field rather than as a line break."""
+    return csv.writer(_LineFeedRows(fh), lineterminator="\r\n")
+
+
 def _session_text(
     record: SessionRecord, group: str, ts: str, columns: tuple[Sequence, ...]
 ) -> str | None:
@@ -241,11 +278,8 @@ def write_sessions(
     mode = "a" if append else "w"
     need_header = not (append and path.exists() and path.stat().st_size > 0)
     count = 0
-    # A "\r\n" line terminator makes csv.writer quote every field that
-    # holds "\r" or "\n"; each row's terminator is then written as "\n".
-    row_buffer = io.StringIO()
-    writer = csv.writer(row_buffer, lineterminator="\r\n")
     with path.open(mode, newline="", encoding="utf-8") as fh:
+        writer = _csv_writer(fh)
         if need_header:
             fh.write(",".join(SESSION_FIELDS) + "\n")
         for s in sessions:
@@ -258,10 +292,7 @@ def write_sessions(
             else:
                 ranks, tweet_ids, authors, shown, masks = columns
                 for row in zip(ranks, tweet_ids, authors, shown, map(_FLAG_FIELDS.__getitem__, masks)):
-                    row_buffer.seek(0)
-                    row_buffer.truncate()
                     writer.writerow((s.session_id, s.monitor_id, group, ts, *row[:4], *row[4]))
-                    fh.write(row_buffer.getvalue()[:-2] + "\n")
             count += 1
     return count
 
@@ -280,6 +311,54 @@ class IngestResult:
     filtered: int
     skipped: int
     violations: Mapping[str, tuple[str, ...]]
+
+
+#: Bytes the block tokenizer of :func:`read_sessions` reads at a time.
+_BLOCK_BYTES = 1 << 18
+#: The longest field the block tokenizer reads as a fixed-width column.
+_FIELD_BYTES = 64
+
+_HEADER_LINE = (",".join(SESSION_FIELDS) + "\n").encode()
+_LINE_FEED, _COMMA = ord("\n"), ord(",")
+_FLAG_BYTES = np.array([t.encode() for t in _FLAG_TEXTS])  # keyed on the flag mask
+
+
+def _fixed(a: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """The byte fields ``a[starts[i]:stops[i]]`` as one fixed-width ``S``
+    array, each padded with NULs (which a tokenized block does not hold)."""
+    lengths = stops - starts
+    cols = np.arange(max(int(lengths.max(initial=0)), 1))[:, None]
+    fields = a.take(cols + starts, mode="clip")  # one row per byte of the fields
+    fields *= cols < lengths
+    return np.ascontiguousarray(fields.T).view(f"S{len(cols)}").ravel()
+
+
+def _distinct(fields: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(fields, return_inverse=True)`` for a fixed-width ``S``
+    array, but for the order of the distinct values: fields of up to 8
+    bytes are sorted as one uint64 each, which is faster than sorting
+    them as bytes."""
+    if fields.itemsize > 8:
+        return np.unique(fields, return_inverse=True)
+    keys, inverse = np.unique(fields.astype("S8").view("<u8"), return_inverse=True)
+    distinct = np.empty(len(keys), fields.dtype)
+    distinct[inverse] = fields
+    return distinct, inverse
+
+
+def _joined(a: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """The byte fields ``a[starts[i]:stops[i]]`` joined, and where each
+    ends in the joined bytes."""
+    lengths = stops - starts
+    ends = np.cumsum(lengths)
+    index = np.repeat(starts - (ends - lengths), lengths) + np.arange(int(ends[-1]))
+    return a[index].tobytes(), ends
+
+
+def _rows(buf: bytes, start: int, stop: int) -> list[list[str]]:
+    """The rows of the plain lines ``buf[start:stop]``, split as
+    ``csv.reader`` splits them."""
+    return [line.split(",") for line in buf[start:stop].decode().split("\n")]
 
 
 def read_sessions(
@@ -301,52 +380,119 @@ def read_sessions(
     checked against it; neutral sessions are always checked against an
     empty follow set.
 
-    The log is streamed one session at a time. Each row's field count
-    and group are checked, but a filtered session is parsed no further
-    than its capture time. The other sessions are parsed column by
-    column into one :class:`~feedaudit.model.SessionBatch`: author and
-    displayed-author ids are coded through one table per read, and the
-    four flags of a row become one mask through one lookup. A session
-    whose ranks are 1..L and whose masks pass :func:`_valid_flags` is
-    valid; any other is built as a record and checked by
-    :func:`validate_session`, so its violation messages are the same as
-    for a record built by hand. ``sessions`` are views of the batch.
+    The log is read in binary, in blocks of about ``_BLOCK_BYTES`` cut
+    at a line end, and the valid sessions become the columns of one
+    :class:`~feedaudit.model.SessionBatch`; ``sessions`` are views of
+    it. A block is tokenized with numpy when ``csv.reader`` would split
+    it at the same commas: it is ASCII with no double quote, carriage
+    return or NUL, every line holds 11 commas, no line is longer than
+    ``csv.field_size_limit()`` and no session id, rank, author id,
+    displayed-author id or flag text is longer than ``_FIELD_BYTES``.
+    Its sessions are then checked column by column: every row shares the
+    session's ``session_id,monitor_id,group,captured_at`` prefix, with a
+    known group, ranks are 1..L and flags ``true``/``false``, and the
+    flag masks pass :func:`_valid_flags`. Author and displayed-author
+    ids are coded through one ``np.unique`` per block, in order of first
+    appearance, and a session that passes goes into the batch with no
+    object per row. There are three fallbacks. A session that fails a
+    check is rebuilt as rows from its lines and goes through the
+    per-session path, which builds a record and has
+    :func:`validate_session` name its violations, or raises its error.
+    When a block is not plain or holds an unknown group, or a session
+    of it raises, what was read is dropped and a ``csv.reader`` row
+    loop reads the log again from its first line, as it reads a log
+    whose first line is not the bare header. Errors with their message
+    and line, counts, violations and the order of author codes are the
+    same on every path. A filtered session is checked no further than
+    its capture time, so a bad rank or flag in it raises nothing.
     """
     path = Path(path)
     if not path.exists():
         raise DataError(f"session log not found: {path}")
-    where = str(path)
-    want_group = GroupLabel(str(group)) if group is not None else None
-    start = ensure_utc(start) if start else None
-    end = ensure_utc(end) if end else None
+    ingest = _Ingest(path, group, monitor_id, start, end, follows)
+    with _gc_paused():
+        if not (path.is_file() and ingest.blocks()):
+            # The blocks read so far were plain, so the row loop reads
+            # them the same; it starts again with nothing ingested.
+            ingest = _Ingest(path, group, monitor_id, start, end, follows)
+            ingest.row_loop()
+    return IngestResult(
+        sessions=tuple(ingest.batch.build(tuple(ingest.code)).records()),
+        total=ingest.total,
+        filtered=ingest.filtered,
+        skipped=ingest.skipped,
+        violations=ingest.violations,
+    )
 
-    batch = BatchBuilder()
-    violations: dict[str, tuple[str, ...]] = {}
-    seen_ids: set[str] = set()
-    total = filtered = skipped = 0
-    code: dict[AuthorId, int] = {}  # author id -> its code, in order of first appearance
-    rank_texts: tuple[str, ...] = ()  # "1".."L" for the longest session so far
-    ranks = np.empty(0, np.int32)  # 1..L likewise
 
-    def encode(ids: Sequence[AuthorId]) -> list[int]:
+class _Ingest:
+    """The state of one :func:`read_sessions` call and its three paths:
+    the block tokenizer (:meth:`blocks`), the ``csv.reader`` row loop
+    (:meth:`row_loop`) and the per-session path that both go through
+    (:meth:`flush`)."""
+
+    def __init__(
+        self,
+        path: Path,
+        group: GroupLabel | str | None,
+        monitor_id: str | None,
+        start: datetime | None,
+        end: datetime | None,
+        follows: Mapping[str, frozenset[AuthorId]] | None,
+    ) -> None:
+        self.path = path
+        self.where = str(path)
+        self.want_group = GroupLabel(str(group)) if group is not None else None
+        self.monitor_id = monitor_id
+        self.start = ensure_utc(start) if start else None
+        self.end = ensure_utc(end) if end else None
+        self.follows = follows
+        self.batch = BatchBuilder()
+        self.violations: dict[str, tuple[str, ...]] = {}
+        self.seen_ids: set[str] = set()
+        self.total = self.filtered = self.skipped = 0
+        self.code: dict[AuthorId, int] = {}  # author id -> its code, in order of first appearance
+        # 1..L as int32, as text and as bytes, for the longest session so far
+        self.ranks = np.empty(0, np.int32)
+        self.rank_texts: tuple[str, ...] = ()
+        self.rank_bytes = np.empty(0, "S1")
+
+    def grow_ranks(self, n: int) -> None:
+        if len(self.ranks) < n:
+            self.ranks = np.arange(1, n + 1, dtype=np.int32)
+            self.rank_texts = tuple(map(str, range(1, n + 1)))
+            self.rank_bytes = self.ranks.astype("S")
+
+    def excluded(self, grp: GroupLabel | None, mon: str, captured: datetime) -> bool:
+        return (
+            (self.want_group is not None and grp is not self.want_group)
+            or (self.monitor_id is not None and mon != self.monitor_id)
+            or (self.start is not None and captured < self.start)
+            or (self.end is not None and captured >= self.end)
+        )
+
+    def encode(self, ids: Sequence[AuthorId]) -> list[int]:
+        code = self.code
         codes = list(map(code.get, ids))
         if None in codes:
             codes = [code.setdefault(a, len(code)) for a in ids]
         return codes
 
-    def flush(rows: list[list[str]], first_line: int, blanks: list[int]) -> None:
-        nonlocal total, filtered, skipped, rank_texts, ranks
-        total += 1
+    def follow_codes(self, mon: str) -> tuple[frozenset[AuthorId] | None, list[int] | None]:
+        follow_set = self.follows.get(mon) if self.follows is not None else None
+        codes = None if follow_set is None else [self.code[a] for a in follow_set if a in self.code]
+        return follow_set, codes
+
+    def flush(self, rows: list[list[str]], first_line: int, blanks: list[int]) -> None:
+        """Ingest one session from its rows: ``first_line`` is the physical
+        line of its first row, ``blanks`` the offsets of its rows that
+        follow a blank line."""
+        self.total += 1
         sid, mon, grp_text, ts_text = rows[0][:4]
         grp = GroupLabel(grp_text) if grp_text else None
-        captured = _parse_ts(ts_text, where, first_line)
-        if (
-            (want_group is not None and grp is not want_group)
-            or (monitor_id is not None and mon != monitor_id)
-            or (start and captured < start)
-            or (end and captured >= end)
-        ):
-            filtered += 1
+        captured = _parse_ts(ts_text, self.where, first_line)
+        if self.excluded(grp, mon, captured):
+            self.filtered += 1
             return
 
         n = len(rows)
@@ -358,79 +504,237 @@ def read_sessions(
                 for row, line in zip(rows, _row_lines(rows, first_line, blanks))
                 if row[1] != mon or row[2] != grp_text or row[3] != ts_text
             ]
-        if len(rank_texts) < n:
-            rank_texts = tuple(map(str, range(1, n + 1)))
-            ranks = np.arange(1, n + 1, dtype=np.int32)
+        self.grow_ranks(n)
         try:
             flags = np.frombuffer(bytes(map(_MASKS.__getitem__, zip(*flag_cols))), np.uint8)
-            in_order = rank_col == rank_texts[:n]
+            in_order = rank_col == self.rank_texts[:n]
             parsed = None if in_order else list(map(int, rank_col))
         except (KeyError, ValueError):
-            raise _first_bad_field(rows, where, _row_lines(rows, first_line, blanks)) from None
-        in_order = in_order or parsed == ranks[:n].tolist()
-        author_codes, shown_codes = encode(authors), encode(shown)
-        if sid in seen_ids:
+            raise _first_bad_field(rows, self.where, _row_lines(rows, first_line, blanks)) from None
+        in_order = in_order or parsed == self.ranks[:n].tolist()
+        author_codes, shown_codes = self.encode(authors), self.encode(shown)
+        if sid in self.seen_ids:
             issues.append("duplicate session id")
-        seen_ids.add(sid)
-        follow_set = follows.get(mon) if follows is not None else None
-        follow_codes = None if follow_set is None else [code[a] for a in follow_set if a in code]
+        self.seen_ids.add(sid)
+        follow_set, follow_codes = self.follow_codes(mon)
         if not (in_order and _valid_flags(flags, shown_codes, follow_codes, grp)):
-            rank_values = ranks[:n].tolist() if parsed is None else parsed
+            rank_values = self.ranks[:n].tolist() if parsed is None else parsed
             bits = [((flags & bit) != 0).tolist() for bit in FLAG_BITS]
             entries = tuple(map(TimelineEntry._make, zip(rank_values, tweet_ids, authors, shown, *bits)))
             issues.extend(validate_session(SessionRecord(sid, mon, captured, entries, grp), follow_set))
         if issues:
-            skipped += 1
-            violations[sid] = tuple(issues)
+            self.skipped += 1
+            self.violations[sid] = tuple(issues)
             return
         # A valid session's ranks are 1..n.
-        batch.add(
-            sid, mon, captured, grp, author_codes, shown_codes, ranks[:n], flags,
+        self.batch.add(
+            sid, mon, captured, grp, author_codes, shown_codes, self.ranks[:n], flags,
             "".join(tweet_ids), np.cumsum(np.fromiter(map(len, tweet_ids), np.int64, n)),
         )
 
-    with path.open(newline="", encoding="utf-8") as fh, _gc_paused():
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"session log is empty: {path}") from None
-        if tuple(header) != SESSION_FIELDS:
-            raise ParseError(f"unexpected header {header!r}", path=where, line=1)
-        width = len(SESSION_FIELDS)
-        rows: list[list[str]] = []  # the current session's rows
-        blanks: list[int] = []  # offsets of its rows that follow a blank line
-        sid: str | None = None
-        first_line = 2
-        for row in reader:
-            # Lines are physical lines; a record with a line break in a
-            # quoted field spans more than one. The reader has read up to
-            # the end of this record.
-            if not row:
-                blanks.append(len(rows))
-                continue
-            if len(row) != width:
-                line = reader.line_num - _line_breaks(row)
-                raise ParseError(f"expected {width} fields, got {len(row)}", path=where, line=line)
-            if row[2] not in _GROUP_TEXTS:
-                line = reader.line_num - _line_breaks(row)
-                raise ParseError(f"unknown group {row[2]!r}", path=where, line=line)
-            if row[0] != sid:
-                if rows:
-                    flush(rows, first_line, blanks)
-                rows, blanks = [], []
-                sid, first_line = row[0], reader.line_num - _line_breaks(row)
-            rows.append(row)
-        if rows:
-            flush(rows, first_line, blanks)
+    def blocks(self) -> bool:
+        """Ingest the log block by block. Returns whether it got to the
+        end; if not, the row loop must read the log: its first line is not
+        the bare header, a block is not plain or a session raised."""
+        with self.path.open("rb") as fh:
+            if fh.read(len(_HEADER_LINE)) != _HEADER_LINE:
+                return False
+            buf = b""  # whole lines from a session's start, and a part line
+            line = 2  # the physical line buf starts on
+            while True:
+                # at least as much again as is left over, so that a
+                # session longer than a block is read in doubling steps
+                more = fh.read(max(_BLOCK_BYTES, len(buf)))
+                buf += more
+                if more:
+                    size = buf.rfind(b"\n") + 1
+                    if not size:
+                        continue
+                else:
+                    if not buf:
+                        return True
+                    if not buf.endswith(b"\n"):
+                        buf += b"\n"  # csv.reader reads a last line without one the same
+                    size = len(buf)
+                done = self.block(buf, size, line, final=not more)
+                if done is None:
+                    return False
+                if not more:
+                    return True
+                line += buf.count(b"\n", 0, done)
+                buf = buf[done:]
 
-    return IngestResult(
-        sessions=tuple(batch.build(tuple(code)).records()),
-        total=total,
-        filtered=filtered,
-        skipped=skipped,
-        violations=violations,
-    )
+    def block(self, buf: bytes, size: int, first_line: int, final: bool) -> int | None:
+        """Ingest the sessions in ``buf[:size]``, whole lines that start a
+        session on physical line ``first_line``; unless ``final``, the last
+        session is left for the next block, as it may go on there.
+
+        Returns the number of bytes ingested, or None when the row loop
+        must read the log: the block is not plain or holds an unknown
+        group, or a session of it raised.
+        """
+        a = np.frombuffer(buf, np.uint8, size)
+        ends = np.flatnonzero(a == _LINE_FEED)
+        n = len(ends)
+        commas = np.flatnonzero(a == _COMMA)
+        if len(commas) != 11 * n or a.max() >= 0x80 or any(buf.find(c, 0, size) >= 0 for c in b'"\r\0'):
+            return None
+        commas = commas.reshape(n, 11)
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        # Each line holds its 11 commas and is no longer than a field
+        # csv.reader takes, and the fields that _fixed reads (session id,
+        # rank, author and displayed-author ids, flag text) are at most
+        # _FIELD_BYTES long.
+        if (
+            (commas[:, 0] < starts).any()
+            or (commas[:, 10] > ends).any()
+            or (ends - starts).max() > csv.field_size_limit()
+            or (commas[:, 0] - starts).max() > _FIELD_BYTES
+            or (commas[:, [4, 6, 7]] - commas[:, [3, 5, 6]]).max() > _FIELD_BYTES + 1
+            or (ends - commas[:, 7]).max() > _FIELD_BYTES + 1
+        ):
+            return None
+        sids = _fixed(a, starts, commas[:, 0])
+        bounds = (np.flatnonzero(sids[1:] != sids[:-1]) + 1).tolist()
+        if not final:
+            if not bounds:
+                return 0
+            n = bounds.pop()
+            starts, ends, commas = starts[:n], ends[:n], commas[:n]
+        bounds = [0, *bounds, n]
+        lengths = np.diff(bounds)
+
+        # Per session, before any is ingested: its prefix and fields, its
+        # capture time (None when it does not parse: flush raises), and its
+        # rows when not all of them share its prefix. A row's group is that
+        # of its session's prefix or is checked here.
+        sessions = []
+        for r0, r1 in zip(bounds, bounds[1:]):
+            prefix = buf[starts[r0] : commas[r0, 3] + 1]
+            sid, mon, grp_text, ts_text, _ = prefix.decode().split(",")
+            rows = None
+            if buf.count(b"\n" + prefix, starts[r0], ends[r1 - 1]) != r1 - r0 - 1:
+                rows = _rows(buf, starts[r0], ends[r1 - 1])
+            if not _GROUP_TEXTS.issuperset([grp_text] if rows is None else [row[2] for row in rows]):
+                return None
+            try:
+                captured = _parse_ts(ts_text, self.where, first_line + r0)
+            except ParseError:
+                captured = None
+            grp = GroupLabel(grp_text) if grp_text else None
+            sessions.append((sid, mon, grp, captured, rows))
+        included = np.array(
+            [captured is not None and not self.excluded(grp, mon, captured) for _, mon, grp, captured, _ in sessions]
+        )
+
+        # Column checks, per row: the rank is the row's place in its
+        # session, and the four flags are true/false; a flag field of 4
+        # bytes sets its bit of the row's mask.
+        self.grow_ranks(int(lengths.max()))
+        place = np.arange(n) - np.repeat(bounds[:-1], lengths)
+        ranks_ok = _fixed(a, commas[:, 3] + 1, commas[:, 4]) == self.rank_bytes[place]
+        flag_gaps = np.diff(commas[:, 7:], axis=1, append=ends[:, None])
+        flags = np.packbits(flag_gaps == len("true,"), axis=1, bitorder="little").ravel()
+        flags_ok = _fixed(a, commas[:, 7] + 1, ends) == _FLAG_BYTES[flags]
+        fast = np.logical_and.reduceat(ranks_ok & flags_ok, bounds[:-1])
+        author, shown = self.encode_block(a, commas, lengths, included)
+        tweet_text, tweet_ends = _joined(a, commas[:, 4] + 1, commas[:, 5])
+
+        for (sid, mon, grp, captured, rows), r0, r1, ok, take in zip(sessions, bounds, bounds[1:], fast, included):
+            if captured is not None and not take:
+                self.total += 1
+                self.filtered += 1
+                continue
+            if take and ok and rows is None and sid not in self.seen_ids:
+                _, follow_codes = self.follow_codes(mon)
+                if _valid_flags(flags[r0:r1], shown[r0:r1], follow_codes, grp):
+                    self.total += 1
+                    self.seen_ids.add(sid)
+                    t0 = int(tweet_ends[r0 - 1]) if r0 else 0
+                    self.batch.add(
+                        sid, mon, captured, grp, author[r0:r1], shown[r0:r1], self.ranks[: r1 - r0],
+                        flags[r0:r1], tweet_text[t0 : tweet_ends[r1 - 1]].decode(), tweet_ends[r0:r1] - t0,
+                    )
+                    continue
+            try:
+                self.flush(rows or _rows(buf, starts[r0], ends[r1 - 1]), first_line + r0, [])
+            except ParseError:
+                return None
+        return int(ends[-1]) + 1
+
+    def encode_block(
+        self, a: np.ndarray, commas: np.ndarray, lengths: np.ndarray, included: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The author and displayed-author codes of a block's rows. The ids
+        of its ``included`` sessions are coded, in order of first
+        appearance over each session's author ids and then its
+        displayed-author ids, as :meth:`flush` codes them; the rows of
+        other sessions get -1."""
+        rows = slice(None) if included.all() else np.repeat(included, lengths)
+        taken = lengths[included]
+        k = int(taken.sum())
+        ids, inverse = _distinct(np.concatenate([
+            _fixed(a, commas[rows, 5] + 1, commas[rows, 6]),
+            _fixed(a, commas[rows, 6] + 1, commas[rows, 7]),
+        ]))
+        ids = [i.decode() for i in ids.tolist()]
+        codes = list(map(self.code.get, ids))
+        if None in codes:
+            # In that order a session of m rows after s rows of included
+            # sessions has its author ids at 2s..2s+m-1 and its
+            # displayed-author ids at 2s+m..2s+2m-1.
+            stops = np.cumsum(taken)
+            place = np.arange(k)
+            order = np.empty(2 * k, np.intp)
+            order[np.repeat(stops - taken, taken) + place] = inverse[:k]
+            order[np.repeat(stops, taken) + place] = inverse[k:]
+            _, first = np.unique(order, return_index=True)
+            for i in sorted((i for i, c in enumerate(codes) if c is None), key=first.__getitem__):
+                codes[i] = self.code.setdefault(ids[i], len(self.code))
+        code_of = np.array(codes, np.int32)
+        author = np.full(len(commas), -1, np.int32)
+        shown = np.full(len(commas), -1, np.int32)
+        author[rows] = code_of[inverse[:k]]
+        shown[rows] = code_of[inverse[k:]]
+        return author, shown
+
+    def row_loop(self) -> None:
+        """Ingest the log with ``csv.reader``, row by row."""
+        path, where = self.path, self.where
+        with path.open(newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise DataError(f"session log is empty: {path}") from None
+            if tuple(header) != SESSION_FIELDS:
+                raise ParseError(f"unexpected header {header!r}", path=where, line=1)
+            width = len(SESSION_FIELDS)
+            rows: list[list[str]] = []  # the current session's rows
+            blanks: list[int] = []  # offsets of its rows that follow a blank line
+            sid: str | None = None
+            first_line = 1
+            for row in reader:
+                # Lines are physical lines; a record with a line break in a
+                # quoted field spans more than one. The reader has read up to
+                # the end of this record.
+                if not row:
+                    blanks.append(len(rows))
+                    continue
+                if len(row) != width:
+                    line = reader.line_num - _line_breaks(row)
+                    raise ParseError(f"expected {width} fields, got {len(row)}", path=where, line=line)
+                if row[2] not in _GROUP_TEXTS:
+                    line = reader.line_num - _line_breaks(row)
+                    raise ParseError(f"unknown group {row[2]!r}", path=where, line=line)
+                if row[0] != sid:
+                    if rows:
+                        self.flush(rows, first_line, blanks)
+                    rows, blanks = [], []
+                    sid, first_line = row[0], reader.line_num - _line_breaks(row)
+                rows.append(row)
+            if rows:
+                self.flush(rows, first_line, blanks)
 
 
 @dataclass(frozen=True)
@@ -582,7 +886,7 @@ def emit_report(
             fh.write("\n")
         return
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _csv_writer(fh)
         writer.writerow(columns)
         for row in rendered:
             writer.writerow([_render_csv_cell(row[c]) for c in columns])
@@ -595,7 +899,7 @@ def write_authors(
     path = Path(path)
     count = 0
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
+        writer = _csv_writer(fh)
         writer.writerow(AUTHOR_FIELDS)
         for a in authors:
             writer.writerow(
@@ -633,9 +937,11 @@ def read_authors(path: str | Path) -> dict[AuthorId, AuthorInfo]:
             raise DataError(f"author roster is empty: {path}") from None
         if tuple(header) != AUTHOR_FIELDS:
             raise ParseError(f"unexpected header {header!r}", path=str(path), line=1)
-        for line_no, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            # the physical line the record starts on
+            line_no = reader.line_num - _line_breaks(row)
             if len(row) != len(AUTHOR_FIELDS):
                 raise ParseError(
                     f"expected {len(AUTHOR_FIELDS)} fields, got {len(row)}",

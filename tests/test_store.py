@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import gc
 import hashlib
 import io
 import json
 import tracemalloc
 from datetime import datetime, timezone
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedaudit import (
     DataError,
@@ -32,6 +36,7 @@ from feedaudit import (
     write_authors,
     write_sessions,
 )
+from feedaudit import store
 from feedaudit.model import ensure_utc, validate_session
 from feedaudit.store import SESSION_FIELDS, IngestResult, format_float
 
@@ -137,6 +142,20 @@ class TestGoldenLog:
         )
 
 
+def _transient_read(path):
+    """A read of ``path``, and what it held at its peak beyond what it
+    keeps, under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        res = read_sessions(path)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return res, peak - retained
+
+
 class TestReadMemory:
     def test_bytes_per_row_retained(self, tmp_path):
         # What a read keeps alive per row of this 20,800-row log, under
@@ -159,6 +178,43 @@ class TestReadMemory:
             tracemalloc.stop()
         assert (len(res.sessions), rows) == (32, 20_800)
         assert retained / rows <= 0.6 * 194.7
+
+    def test_transient_bounded_by_block_size(self, tmp_path):
+        # What a read holds at its peak beyond what it keeps, under
+        # tracemalloc, on a 1-day and a 2-day log: 1.61 and 1.81 MiB with
+        # blocks of 256 KiB (0.75 MiB for both when csv.reader read every
+        # row). A read that held the log, or a share of it, would grow
+        # with it.
+        world = build_world(seed=7)
+        transient = []
+        for days in (1, 2):
+            sessions = run_fleet(world, FleetConfig(monitors_per_group=2, duration_days=days), RankerParams(seed=7))
+            path = tmp_path / f"{days}.csv"
+            write_sessions(sessions, path)
+            del sessions
+            res, held = _transient_read(path)
+            assert res.total == 32 * days
+            del res
+            transient.append(held)
+        one, two = transient
+        assert two <= 1.25 * one
+        assert one <= 8 * store._BLOCK_BYTES
+
+    def test_transient_bounded_with_a_long_id(self, tmp_path):
+        # An author id of 50 KB in the middle of the 1-day log: 1.1 MiB
+        # under tracemalloc, as its block goes to the row loop. Read as a
+        # fixed-width column, it would take 50 KB and 400 KB of gather
+        # index for each row of its block (300 MiB with 16 KiB blocks).
+        world = build_world(seed=7)
+        path = tmp_path / "log.csv"
+        write_sessions(run_fleet(world, FleetConfig(monitors_per_group=2, duration_days=1), RankerParams(seed=7)), path)
+        lines = path.read_text().split("\n")
+        _set(lines, 10_000, 6, "a" * 50_000)
+        path.write_text("\n".join(lines))
+        res, held = _transient_read(path)
+        assert (res.total, res.skipped) == (32, 0)
+        assert any("a" * 50_000 in s.columns()[2] for s in res.sessions)
+        assert held <= 8 * store._BLOCK_BYTES
 
 
 class TestFilters:
@@ -561,50 +617,59 @@ INGEST_CASES = {
 }
 
 
+@pytest.fixture(scope="module")
+def ingest_log(tmp_path_factory):
+    """The lines of a simulated log of 16 sessions of 12 rows, its follow
+    sets and its last capture time."""
+    world = build_world(n_authors=60, seed=5)
+    fleet = FleetConfig(monitors_per_group=2, sessions_per_day=1, duration_days=2, session_length=12)
+    params = RankerParams(seed=5)
+    monitors = make_monitors(world, fleet, params.seed)
+    sessions = run_fleet(world, fleet, params, monitors)
+    path = tmp_path_factory.mktemp("diff") / "log.csv"
+    write_sessions(sessions, path)
+    return {
+        "lines": path.read_text().splitlines(),
+        "follows": {m.id: m.follows for m in monitors},
+        "day2": max(s.captured_at for s in sessions),
+    }
+
+
+def _mutated(log, case):
+    """The log's lines with the defect of ``INGEST_CASES[case]`` in its
+    target session, the group's second session, so that the log has
+    sessions before and after it; the index of the target's first line
+    and its monitor."""
+    group, mutate, _ = INGEST_CASES[case]
+    lines = list(log["lines"])
+    first = next(i for i, line in enumerate(lines) if line.split(",")[2] == group)
+    target = lines[first].split(",")[0]
+    i = next(k for k in range(first, len(lines)) if lines[k].split(",")[0] != target)
+    monitor = lines[i].split(",")[1]
+    mutate(lines, i)
+    return lines, i, monitor
+
+
+def _outcome(reader, path, **kw):
+    try:
+        res = reader(path, **kw)
+    except (DataError, ParseError, csv.Error, UnicodeDecodeError) as exc:
+        return ("error", type(exc).__name__, str(exc))
+    return ("result", res.sessions, res.total, res.filtered, res.skipped, dict(res.violations))
+
+
 class TestIngestDifferential:
     """read_sessions against the row-by-row reference reader on logs with
     one defect each, with and without follow sets and under each filter."""
 
-    @pytest.fixture(scope="class")
-    def log(self, tmp_path_factory):
-        world = build_world(n_authors=60, seed=5)
-        fleet = FleetConfig(
-            monitors_per_group=2, sessions_per_day=1, duration_days=2, session_length=12
-        )
-        params = RankerParams(seed=5)
-        monitors = make_monitors(world, fleet, params.seed)
-        sessions = run_fleet(world, fleet, params, monitors)
-        path = tmp_path_factory.mktemp("diff") / "log.csv"
-        write_sessions(sessions, path)
-        return {
-            "lines": path.read_text().splitlines(),
-            "follows": {m.id: m.follows for m in monitors},
-            "day2": max(s.captured_at for s in sessions),
-        }
-
-    @staticmethod
-    def outcome(reader, path, **kw):
-        try:
-            res = reader(path, **kw)
-        except ParseError as exc:
-            return ("error", str(exc))
-        return ("result", res.sessions, res.total, res.filtered, res.skipped, dict(res.violations))
-
     @pytest.mark.parametrize("case", list(INGEST_CASES))
-    def test_matches_reference(self, log, tmp_path, case):
-        group, mutate, expected = INGEST_CASES[case]
-        lines = list(log["lines"])
-        first = next(i for i, line in enumerate(lines) if line.split(",")[2] == group)
-        # the target is the group's second session, so the log has
-        # sessions before and after it
-        target = lines[first].split(",")[0]
-        i = next(k for k in range(first, len(lines)) if lines[k].split(",")[0] != target)
-        monitor = lines[i].split(",")[1]
-        mutate(lines, i)
+    def test_matches_reference(self, ingest_log, tmp_path, case):
+        group, _, expected = INGEST_CASES[case]
+        lines, _, monitor = _mutated(ingest_log, case)
         path = tmp_path / "log.csv"
         path.write_text("\n".join(lines) + "\n")
 
-        res = self.outcome(read_sessions, path)
+        res = _outcome(read_sessions, path)
         kind = res[0] if res[0] == "error" else ("skip" if res[4] else "ok")
         assert kind == expected, res[:1] + res[2:]
         filters = [
@@ -612,14 +677,252 @@ class TestIngestDifferential:
             {"group": "neutral"},
             {"group": group},
             {"monitor_id": monitor},
-            {"start": log["day2"]},
-            {"end": log["day2"]},
+            {"start": ingest_log["day2"]},
+            {"end": ingest_log["day2"]},
         ]
-        for follows in (None, log["follows"]):
+        for follows in (None, ingest_log["follows"]):
             for kw in filters:
-                got = self.outcome(read_sessions, path, follows=follows, **kw)
-                want = self.outcome(reference_read, path, follows=follows, **kw)
+                got = _outcome(read_sessions, path, follows=follows, **kw)
+                want = _outcome(reference_read, path, follows=follows, **kw)
                 assert got == want, (kw, follows is not None)
+
+
+def _byte_length(lines):
+    return sum(len(line.encode()) + 1 for line in lines)
+
+
+# The size of the first block, which starts after the header line, that
+# puts the target session of an INGEST_CASES case at a given place among
+# the blocks: ls are the log's lines, i is the index of the target's
+# first line and j that of the first line after it. Each later block
+# holds what the one before left over and at least as many bytes again.
+BLOCK_CUTS = {
+    # the first block ends after the target's first row; the target is
+    # left over and begins the second block
+    "first in a block": lambda ls, i, j: _byte_length(ls[1 : i + 1]),
+    # the first block ends after the first row of the next session, so
+    # the target is the last session it ingests
+    "last in a block": lambda ls, i, j: _byte_length(ls[1 : j + 1]),
+    # the first block ends in the middle of the target's seventh row
+    "across a cut": lambda ls, i, j: _byte_length(ls[1 : i + 6]) + len(ls[i + 6]) // 2,
+    # every block is smaller than a session
+    "small blocks": lambda ls, i, j: 300,
+}
+
+
+def _long_session(lines):
+    # a 300-row session, longer than many blocks, between the header and
+    # the log's first session
+    rows = [
+        f"long,m9,left,2024-10-02T00:00:00Z,{r},t{r},a{r % 7},a{r % 5},false,false,false,false"
+        for r in range(1, 301)
+    ]
+    return ("\n".join([lines[0], *rows, *lines[1:25]]) + "\n").encode()
+
+
+def _quoted_late(lines):
+    _set(lines, len(lines) - 2, 5, '"t,x"')
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _non_ascii(lines):
+    _set(lines, 100, 6, "\u00e9t\u00e9")
+    _set(lines, 101, 5, "t\u20ac1")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _unquoted_carriage_return(lines):
+    # csv.reader ends a record at a lone "\r" outside quotes
+    _set(lines, 100, 5, "t\rx")
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _invalid_utf8(bad, at):
+    # a bad boolean on line ``bad`` and a byte that is not UTF-8 on line
+    # ``at``: which error comes first depends on where the text decoder's
+    # 8 KiB chunks end (lines 62 and 74 start sessions; line 66 spans the
+    # first chunk's end)
+    def build(lines):
+        _set(lines, bad - 1, 9, "maybe")
+        data = ("\n".join(lines) + "\n").encode().split(b"\n")
+        data[at - 1] = data[at - 1].replace(b",", b",\xff", 1)
+        return b"\n".join(data)
+
+    return build
+
+
+def _long_author(lines):
+    # an author id of 50 KB, longer than the tokenizer reads as a column
+    _set(lines, 100, 6, "a" * 50_000)
+    return ("\n".join(lines) + "\n").encode()
+
+
+def _long_field(lines):
+    # one byte more than csv.reader takes in a field
+    _set(lines, 100, 5, "t" * (csv.field_size_limit() + 1))
+    return ("\n".join(lines) + "\n").encode()
+
+
+# (the bytes of a log, built from the lines of the simulated log, and the
+# block size to read it with)
+EDGE_LOGS = {
+    "session longer than a block": (_long_session, 512),
+    "quoted field after plain blocks": (_quoted_late, 2000),
+    "non-ASCII id": (_non_ascii, 2000),
+    "field longer than csv.reader takes": (_long_field, 2000),
+    "author id of 50 KB": (_long_author, 2000),
+    "unquoted carriage return": (_unquoted_carriage_return, 2000),
+    "bad session, then a byte that is not UTF-8 in the next decoder chunk": (_invalid_utf8(55, 70), 700),
+    "bad session, then a byte that is not UTF-8 before it ends": (_invalid_utf8(65, 70), 700),
+    "bad session, then a byte that is not UTF-8 in a later block": (_invalid_utf8(65, 70), 3000),
+    # the row loop reads line 74, and so the next decoder chunk, before
+    # it ingests the bad session
+    "bad session, then a byte that is not UTF-8 after it in the next decoder chunk": (_invalid_utf8(65, 90), 1500),
+    "BOM before the header": (lambda ls: b"\xef\xbb\xbf" + ("\n".join(ls) + "\n").encode(), 2000),
+    "no trailing newline": (lambda ls: "\n".join(ls).encode(), 2000),
+    "no trailing newline, last line short": (lambda ls: "\n".join(ls)[:-3].encode(), 700),
+    "CRLF line ends": (lambda ls: ("\r\n".join(ls) + "\r\n").encode(), 2000),
+    "header only": (lambda ls: (ls[0] + "\n").encode(), 2000),
+    "header only, no line feed": (lambda ls: ls[0].encode(), 2000),
+}
+
+_PLAIN_IDS = st.sampled_from(["a", "bb", "c", "a0001", "an-author-id-of-25-bytes!"])
+_PLAIN_STAMPS = st.sampled_from(["2024-10-02T00:00:00Z", "2024-10-03T12:00:00Z", "2024-10-02T00:00:00+00:00"])
+
+
+@st.composite
+def plain_logs(draw):
+    """The text of a log that needs no quoting, of random sessions with
+    now and then one field changed, a block size and read options."""
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        head = [
+            draw(st.sampled_from(["s1", "s2", "s3", "a-session-id-of-25-bytes!"])),
+            draw(st.sampled_from(["m1", "m2"])),
+            draw(st.sampled_from(["", "left", "neutral", "balanced"])),
+            draw(_PLAIN_STAMPS),
+        ]
+        for rank in range(1, draw(st.integers(1, 9)) + 1):
+            fields = [
+                *head,
+                str(rank),
+                draw(st.text("tx:019", max_size=5)),
+                draw(_PLAIN_IDS),
+                draw(_PLAIN_IDS),
+                *(draw(st.sampled_from(["true", "false"])) for _ in range(4)),
+            ]
+            if draw(st.integers(0, 9)) == 0:
+                fields[draw(st.integers(0, 11))] = draw(
+                    st.sampled_from(["", "0", "01", "7", "true", "True", "right", "m1", "2024-10-04T00:00:00Z", "bad"])
+                )
+            rows.append(",".join(fields))
+    text = "\n".join([",".join(SESSION_FIELDS), *rows]) + draw(st.sampled_from(["\n", ""]))
+    kw = draw(st.sampled_from([
+        {},
+        {"follows": {"m1": frozenset({"a", "bb"})}},
+        {"group": "left"},
+        {"start": datetime(2024, 10, 3, tzinfo=timezone.utc)},
+    ]))
+    return text, draw(st.integers(1, 400)), kw
+
+
+class TestBlockBoundaries:
+    """read_sessions against the reference reader with blocks of a few
+    hundred bytes up to a few kilobytes, so that a log spans many blocks
+    and a defect sits at a chosen place among them."""
+
+    @pytest.mark.parametrize("where", list(BLOCK_CUTS))
+    @pytest.mark.parametrize("case", list(INGEST_CASES))
+    def test_ingest_cases(self, ingest_log, tmp_path, monkeypatch, case, where):
+        lines, i, monitor = _mutated(ingest_log, case)
+        target = lines[i].split(",")[0]
+        j = next(k for k in range(i, len(lines)) if lines[k] and lines[k].split(",")[0] != target)
+        monkeypatch.setattr(store, "_BLOCK_BYTES", BLOCK_CUTS[where](lines, i, j))
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for kw in ({}, {"follows": ingest_log["follows"]}, {"monitor_id": monitor}):
+            assert _outcome(read_sessions, path, **kw) == _outcome(reference_read, path, **kw), kw
+
+    @pytest.mark.parametrize("case", list(EDGE_LOGS))
+    def test_edge_logs(self, ingest_log, tmp_path, monkeypatch, case):
+        build, block_bytes = EDGE_LOGS[case]
+        path = tmp_path / "log.csv"
+        path.write_bytes(build(list(ingest_log["lines"])))
+        monkeypatch.setattr(store, "_BLOCK_BYTES", block_bytes)
+        for kw in ({}, {"follows": ingest_log["follows"]}, {"group": "left"}):
+            assert _outcome(read_sessions, path, **kw) == _outcome(reference_read, path, **kw), kw
+
+    def test_late_switch_to_the_row_loop(self, ingest_log, tmp_path, monkeypatch):
+        # plain blocks first, then a quoted field in the last session: the
+        # row loop reads the log again and ingests every session once
+        lines = list(ingest_log["lines"])
+        _set(lines, len(lines) - 2, 5, '"t,x"')
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 2000)
+        res = read_sessions(path)
+        assert (res.total, res.skipped, len(res.sessions)) == (16, 0, 16)
+        assert _outcome(read_sessions, path) == _outcome(reference_read, path)
+
+    def test_plain_log_needs_no_fallback(self, fleet_sessions, tmp_path, monkeypatch):
+        # the sessions of a plain, valid log pass every column check
+        path = tmp_path / "log.csv"
+        write_sessions(fleet_sessions, path)
+
+        def fail(self, *args):
+            raise AssertionError(f"fallback {args!r:.60}")
+
+        monkeypatch.setattr(store._Ingest, "row_loop", fail)
+        monkeypatch.setattr(store._Ingest, "flush", fail)
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 5000)
+        assert list(read_sessions(path).sessions) == list(fleet_sessions)
+
+    @pytest.mark.parametrize(
+        "kw", [{}, {"group": "left"}, {"start": datetime(2024, 10, 3, tzinfo=timezone.utc)}, {"monitor_id": "right-001"}]
+    )
+    def test_same_batch_as_row_loop(self, tmp_path, monkeypatch, kw):
+        # every column and the author ids, in order, as the row loop alone
+        # builds them from a simulated log
+        world = build_world(seed=7)
+        fleet = FleetConfig(monitors_per_group=2, duration_days=2)
+        path = tmp_path / "log.csv"
+        write_sessions(run_fleet(world, fleet, RankerParams(seed=7)), path)
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 50_000)
+        got = read_sessions(path, **kw)
+        monkeypatch.setattr(store._Ingest, "blocks", lambda self: False)
+        want = read_sessions(path, **kw)
+        assert (got.total, got.filtered, got.skipped) == (want.total, want.filtered, want.skipped)
+        assert got.sessions
+        a, b = got.sessions[0]._batch, want.sessions[0]._batch
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y), f.name
+            else:
+                assert tuple(x) == tuple(y), f.name
+
+    def test_distinct_ids(self):
+        # ids of up to 8 bytes are sorted as one uint64, longer ones as bytes
+        short = np.array([b"a", b"bb", b"a", b"", b"12345678", b"bb"])
+        long_ids = np.array([b"abcdefghijklmnop", b"abcdefghijklmnoq", b"abcdefghijklmnop", b"x" * 20, b"a"])
+        for ids in (short, long_ids, long_ids[:1], short[:0]):
+            distinct, inverse = store._distinct(ids)
+            assert np.array_equal(distinct[inverse], ids)
+            assert sorted(distinct.tolist()) == sorted(set(ids.tolist()))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_plain_logs(self, tmp_path_factory, data):
+        text, block_bytes, kw = data.draw(plain_logs())
+        path = tmp_path_factory.mktemp("plain") / "log.csv"
+        path.write_text(text)
+        original = store._BLOCK_BYTES
+        store._BLOCK_BYTES = block_bytes
+        try:
+            got = _outcome(read_sessions, path, **kw)
+        finally:
+            store._BLOCK_BYTES = original
+        assert got == _outcome(reference_read, path, **kw)
 
 
 class TestDatasetStats:
@@ -719,6 +1022,25 @@ class TestEmitReport:
         with pytest.raises(DataError):
             emit_report([{"v": float("nan")}], tmp_path / "r.csv")
 
+    def test_carriage_return_round_trip(self, tmp_path):
+        # a lone "\r" is quoted, so it reads back inside its field
+        path = tmp_path / "r.csv"
+        emit_report([{"name": "a\rb", "value": 1.5}], path, fmt="csv")
+        assert path.read_bytes() == b'name,value\n"a\rb",1.5\n'
+        assert list(csv.reader(path.open(newline=""))) == [["name", "value"], ["a\rb", "1.5"]]
+
+    def test_other_fields_as_csv_writer_writes_them(self, tmp_path):
+        path = tmp_path / "r.csv"
+        emit_report([{"name": 'x,"y"\nz', "value": 2.0, "flag": True, "note": None}, *self.rows], path)
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows([
+            ["name", "value", "flag", "note"],
+            ['x,"y"\nz', "2", "true", ""],
+            ["a", "1.25", "true", ""],
+            ["b", "1.23457e+06", "false", "x"],
+        ])
+        assert path.read_bytes() == want.getvalue().encode()
+
     def test_format_float_six_significant(self):
         assert format_float(0.1) == "0.1"
         assert format_float(123456.789) == "123457"
@@ -743,3 +1065,47 @@ class TestAuthorsRoster:
         path.write_text("who,what\n1,2\n")
         with pytest.raises(ParseError):
             read_authors(path)
+
+    @staticmethod
+    def author(author_id, lean):
+        return SimpleNamespace(id=author_id, lean=lean, popularity=1.0, post_rate=2.0)
+
+    def test_carriage_return_round_trip(self, tmp_path):
+        # a lone "\r" is quoted, so it reads back inside its field
+        path = tmp_path / "authors.csv"
+        write_authors([self.author("a\rb", 0.5), self.author("c", -0.5)], path)
+        assert path.read_bytes().split(b"\n")[1] == b'"a\rb",0.5,1,2,right'
+        back = read_authors(path)
+        assert list(back) == ["a\rb", "c"]
+        assert back["a\rb"].label == "right"
+
+    def test_other_ids_as_csv_writer_writes_them(self, tmp_path):
+        path = tmp_path / "authors.csv"
+        write_authors([self.author('x,"y"\nz', 0.0), self.author("plain", 0.75)], path)
+        want = io.StringIO()
+        csv.writer(want, lineterminator="\n").writerows([
+            ["author_id", "lean", "popularity", "post_rate", "lean_label"],
+            ['x,"y"\nz', "0", "1", "2", "unknown"],
+            ["plain", "0.75", "1", "2", "right"],
+        ])
+        assert path.read_bytes() == want.getvalue().encode()
+
+    def test_error_line_counts_quoted_line_breaks(self, tmp_path):
+        # the bad lean is on physical line 4: the id before it holds a
+        # line break
+        path = tmp_path / "authors.csv"
+        path.write_text(
+            'author_id,lean,popularity,post_rate,lean_label\n"a\nb",0.5,1,2,right\nc,oops,1,2,left\n'
+        )
+        with pytest.raises(ParseError) as err:
+            read_authors(path)
+        assert str(err.value).endswith(":4]")
+        path.write_text('author_id,lean,popularity,post_rate,lean_label\n"a\nb",0.5,1,2,right\n\nc,1,2\n')
+        with pytest.raises(ParseError, match="expected 5 fields, got 3") as err:
+            read_authors(path)
+        assert str(err.value).endswith(":5]")
+        # a bad record that spans two lines is named by its first
+        path.write_text('author_id,lean,popularity,post_rate,lean_label\nc,1,2,3,left\n"d\ne",x,1,2,left\n')
+        with pytest.raises(ParseError) as err:
+            read_authors(path)
+        assert str(err.value).endswith(":3]")
