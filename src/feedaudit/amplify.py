@@ -18,14 +18,17 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import AnalysisError, ConfigError, DataError
-from .metrics import ExposureTable, group_mean_exposure, top_k
+from .metrics import ExposureTable, author_index, group_exposures
 from .model import AuthorId, LEAN_UNKNOWN
 from .mwu import MODE_AUTO, mann_whitney_u, mann_whitney_u_many
 
 
-def amplification_ratio(partisan_mean: float, baseline_mean: float) -> float:
-    """Smoothed percent amplification of a partisan mean over a baseline."""
-    if partisan_mean < 0 or baseline_mean < 0:
+def amplification_ratio(
+    partisan_mean: float | np.ndarray, baseline_mean: float | np.ndarray
+) -> float | np.ndarray:
+    """Smoothed percent amplification of a partisan mean over a baseline;
+    element-wise when given arrays of means."""
+    if np.any(partisan_mean < 0) or np.any(baseline_mean < 0):
         raise AnalysisError("mean exposures must be non-negative")
     return ((partisan_mean + 1.0) / (baseline_mean + 1.0) - 1.0) * 100.0
 
@@ -44,18 +47,10 @@ class AmplificationRow:
     significant: bool
 
 
-def _exposure_matrix(
-    tables: Sequence[ExposureTable], index: Mapping[AuthorId, int]
-) -> np.ndarray:
-    """(authors x monitors) exposures of the authors in ``index``, row
-    ``index[author]``; a monitor that never saw an author contributes 0."""
-    out = np.zeros((len(index), len(tables)))
-    for j, t in enumerate(tables):
-        for author, exposure in t.entries.items():
-            i = index.get(author)
-            if i is not None:
-                out[i, j] = exposure
-    return out
+def _ranked(values: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
+    """Positions of ``values`` by descending value, ties broken by the
+    authors' id order ``id_rank``."""
+    return np.lexsort((id_rank, -values))
 
 
 def build_amplification_report(
@@ -89,36 +84,41 @@ def build_amplification_report(
 
     n_part = len(partisan_tables)
     n_base = len(baseline_tables)
-    partisan_means = group_mean_exposure(partisan_tables)
-    baseline_means = group_mean_exposure(baseline_tables)
-    pooled = {
-        a: (partisan_means.get(a, 0.0) * n_part + baseline_means.get(a, 0.0) * n_base)
-        / (n_part + n_base)
-        for a in set(partisan_means) | set(baseline_means)
-    }
-    candidates = {author: i for i, (author, _) in enumerate(top_k(pooled, top))}
-    tests = mann_whitney_u_many(
-        _exposure_matrix(partisan_tables, candidates),
-        _exposure_matrix(baseline_tables, candidates),
-        mode=mode,
-    )
+    index = author_index([*partisan_tables, *baseline_tables])
+    part, partisan_means, partisan_seen = group_exposures(partisan_tables, index)
+    base, baseline_means, baseline_seen = group_exposures(baseline_tables, index)
+    pooled = (partisan_means * n_part + baseline_means * n_base) / (n_part + n_base)
+    authors = list(index)
+    id_rank = np.empty(len(authors), dtype=np.intp)
+    id_rank[sorted(range(len(authors)), key=authors.__getitem__)] = np.arange(len(authors))
+    candidates = _ranked(pooled, id_rank)[:top]
+    tests = mann_whitney_u_many(part[candidates], base[candidates], mode=mode)
+    candidate_ids = [authors[c] for c in candidates.tolist()]
+    p_means = partisan_means[candidates]
+    b_means = baseline_means[candidates]
+    ratios = amplification_ratio(p_means, b_means)
+    # An author a group never saw gets the float 0.0 as that group's
+    # mean, a seen one its numpy mean: the scalar types show in a row's
+    # repr, which callers digest.
+    p_seen = partisan_seen[candidates].tolist()
+    b_seen = baseline_seen[candidates].tolist()
+    leans = leans or {}
     rows = []
-    for author, res in zip(candidates, tests):
-        p_mean = partisan_means.get(author, 0.0)
-        b_mean = baseline_means.get(author, 0.0)
+    for i in _ranked(ratios, id_rank[candidates]).tolist():
+        author = candidate_ids[i]
+        res = tests[i]
         rows.append(
             AmplificationRow(
                 author_id=author,
-                lean_label=(leans or {}).get(author, LEAN_UNKNOWN),
-                partisan_mean=p_mean,
-                baseline_mean=b_mean,
-                ratio_pct=amplification_ratio(p_mean, b_mean),
+                lean_label=leans.get(author, LEAN_UNKNOWN),
+                partisan_mean=p_means[i] if p_seen[i] else 0.0,
+                baseline_mean=b_means[i] if b_seen[i] else 0.0,
+                ratio_pct=ratios[i],
                 statistic=res.statistic,
                 pvalue=res.pvalue,
                 significant=res.pvalue < alpha,
             )
         )
-    rows.sort(key=lambda r: (-r.ratio_pct, r.author_id))
     return tuple(rows)
 
 

@@ -597,13 +597,15 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     if not sessions:
         raise DataError("no valid sessions to analyze")
 
+    # Analysis can still reject the log, so it runs before any report is
+    # written: a failed run leaves no partial set of artifacts behind.
+    models, tables = _analyze(sessions, decay_cfg, analysis)
+
     emit_report(
         [dataclasses.asdict(g) for g in dataset_stats(sessions).groups],
         artifact("stats.csv"),
         columns=_STATS_COLUMNS,
     )
-
-    models, tables = _analyze(sessions, decay_cfg, analysis)
 
     gini_report = group_gini_distribution(tables, alpha=analysis["alpha_gini"], mode=analysis["mw_mode"])
     emit_report(_gini_rows(tables, gini_report), artifact("gini_monitors.csv"), columns=_GINI_COLUMNS)

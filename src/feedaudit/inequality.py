@@ -60,11 +60,14 @@ class LorenzCurve:
 
     @property
     def x(self) -> tuple[float, ...]:
-        return tuple(p[0] for p in self.points)
+        return self._axes()[0]
 
     @property
     def y(self) -> tuple[float, ...]:
-        return tuple(p[1] for p in self.points)
+        return self._axes()[1]
+
+    def _axes(self) -> tuple[tuple[float, ...], ...]:
+        return tuple(zip(*self.points)) or ((), ())
 
 
 def lorenz(values: Iterable[float]) -> LorenzCurve:
@@ -72,9 +75,8 @@ def lorenz(values: Iterable[float]) -> LorenzCurve:
     x = np.sort(_as_exposure_vector(values))
     n = len(x)
     cum = np.cumsum(x) / x.sum()
-    pts = [(0.0, 0.0)]
-    pts.extend(((i + 1) / n, float(cum[i])) for i in range(n))
-    return LorenzCurve(points=tuple(pts))
+    shares = np.arange(1, n + 1) / n
+    return LorenzCurve(points=((0.0, 0.0), *zip(shares.tolist(), cum.tolist())))
 
 
 def lorenz_auc(curve: LorenzCurve) -> float:

@@ -11,7 +11,9 @@ so exposures stay comparable across scopes.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -169,24 +171,52 @@ def top_k(
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     entries = exposures.entries if isinstance(exposures, ExposureTable) else exposures
-    ranked = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))
-    return ranked[:k]
+    return heapq.nsmallest(k, entries.items(), key=lambda kv: (-kv[1], kv[0]))
+
+
+def author_index(tables: Iterable[ExposureTable]) -> dict[AuthorId, int]:
+    """Every author of ``tables`` mapped to its position in order of first
+    appearance, table by table."""
+    authors = dict.fromkeys(chain.from_iterable(t.entries for t in tables))
+    return {a: i for i, a in enumerate(authors)}
+
+
+def group_exposures(
+    tables: Sequence[ExposureTable], index: Mapping[AuthorId, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One group's exposures as arrays over the authors of ``index``.
+
+    Returns the (authors x monitors) matrix whose row ``index[a]`` holds
+    author a's exposure on each monitor (0 where a monitor never saw a),
+    each author's mean over the monitors, and which authors some table
+    holds. The mean adds a row's exposures one table at a time, in
+    table order, so it has the bits of summing the tables entry by entry
+    into a dict; a pairwise ``np.sum`` would not.
+    """
+    matrix = np.zeros((len(index), len(tables)))
+    seen = np.zeros(len(index), dtype=bool)
+    for j, t in enumerate(tables):
+        size = len(t.entries)
+        codes = np.fromiter(map(index.__getitem__, t.entries), dtype=np.intp, count=size)
+        matrix[codes, j] = np.fromiter(t.entries.values(), dtype=np.float64, count=size)
+        seen[codes] = True
+    sums = np.zeros(len(index))
+    for column in matrix.T:
+        sums += column
+    return matrix, sums / len(tables), seen
 
 
 def group_mean_exposure(tables: Sequence[ExposureTable]) -> dict[AuthorId, float]:
     """Mean exposure per author across a group of monitors.
 
     Authors absent from a monitor's table contribute 0 for that monitor,
-    so the mean is always over all monitors in the group.
+    so the mean is always over all monitors in the group. Authors appear
+    in order of first appearance.
     """
     if not tables:
         raise DataError("cannot average zero exposure tables")
-    n = len(tables)
-    sums: dict[AuthorId, float] = {}
-    for t in tables:
-        for a, e in t.entries.items():
-            sums[a] = sums.get(a, 0.0) + e
-    return {a: s / n for a, s in sums.items()}
+    index = author_index(tables)
+    return dict(zip(index, group_exposures(tables, index)[1]))
 
 
 def exposure_share(

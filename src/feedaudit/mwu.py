@@ -23,13 +23,19 @@ convention of doubling the smaller tail.
 row i of a (k, n) and a (k, m) array is one test. It ranks whole blocks
 of rows with array operations and returns, for every row, the result
 that ``mann_whitney_u`` gives on that row, bit for bit;
-``mann_whitney_u`` is its one-row case.
+``mann_whitney_u`` is its one-row case. The normal path is vectorised
+over the block as well: U, the variance, sd and z are array
+expressions, which round each step as Python floats do. erfc, exp and
+z**3 stay in ``math``, one value at a time, because numpy's exp and
+power differ from it in the last bit on some inputs; so the p-values
+stay bit-identical to the per-row formula.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from itertools import repeat
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -124,25 +130,30 @@ def _exact_pvalue(doubled: tuple[int, ...], k: int, observed: int) -> float:
     return min(1.0, p)
 
 
-def _normal_pvalue(r_a: float, tie_term: float, n: int, m: int) -> float:
+def _normal_pvalues(u_a: np.ndarray, tie_terms: np.ndarray, n: int, m: int) -> np.ndarray:
+    """Normal-approximation p-values for the U_a statistics ``u_a`` with
+    tie terms ``tie_terms``, one per test. erfc, exp and the cube go
+    through ``math`` one value at a time; see the module docstring."""
     big_n = n + m
-    u_a = r_a - 0.5 * n * (n + 1)
-    big_u = max(u_a, n * m - u_a)
+    big_u = np.maximum(u_a, n * m - u_a)
 
     # Tie correction for the variance.
-    var = (n * m / 12.0) * ((big_n + 1.0) - tie_term / (big_n * (big_n - 1.0)))
-    if var <= 0.0:
-        return 1.0  # every pooled value identical
-    sd = math.sqrt(var)
-
-    z = (big_u - 0.5 * n * m - 0.5) / sd
+    var = (n * m / 12.0) * ((big_n + 1.0) - tie_terms / (big_n * (big_n - 1.0)))
+    p = np.ones(len(var))  # every pooled value identical where var <= 0
+    live = var > 0.0
+    z = (big_u[live] - 0.5 * n * m - 0.5) / np.sqrt(var[live])
     # Excess kurtosis of U under the null (tie-free closed form); the
     # Edgeworth term corrects the platykurtic tails of the U lattice.
     g2 = -1.2 * (n * n + m * m + n * m + n + m) / (n * m * (big_n + 1.0))
-    tail = 0.5 * math.erfc(z / _SQRT2)
-    tail += (g2 / 24.0) * (z**3 - 3.0 * z) * math.exp(-0.5 * z * z) * _INV_SQRT_2PI
-    tail = min(max(tail, 0.0), 1.0)
-    return min(1.0, 2.0 * tail)
+    count = len(z)
+    erfc = np.fromiter(map(math.erfc, (z / _SQRT2).tolist()), dtype=np.float64, count=count)
+    cube = np.fromiter(map(pow, z.tolist(), repeat(3)), dtype=np.float64, count=count)
+    gauss = np.fromiter(map(math.exp, (-0.5 * z * z).tolist()), dtype=np.float64, count=count)
+    tail = 0.5 * erfc
+    tail += (g2 / 24.0) * (cube - 3.0 * z) * gauss * _INV_SQRT_2PI
+    tail = np.minimum(np.maximum(tail, 0.0), 1.0)
+    p[live] = np.minimum(1.0, 2.0 * tail)
+    return p
 
 
 def mann_whitney_u_many(
@@ -180,27 +191,32 @@ def mann_whitney_u_many(
     exact_if_untied = mode == MODE_AUTO and min(n, m) <= _AUTO_EXACT_MAX and feasible
     doubled_total = (n + m) * (n + m + 1)
 
-    results = []
+    results: list[MannWhitneyResult] = []
     for start in range(0, k, _BLOCK_ROWS):
         stop = start + _BLOCK_ROWS
         pooled = np.concatenate([a[start:stop], b[start:stop]], axis=1)
         doubled, doubled_sums_a, tie_terms = _rank_block(pooled, n)
-        for i, (doubled_sum_a, tie_term) in enumerate(
-            zip(doubled_sums_a.tolist(), tie_terms.tolist())
-        ):
-            r_a = 0.5 * doubled_sum_a
-            u_a = r_a - 0.5 * n * (n + 1)
-            u = min(u_a, n * m - u_a)
-            if mode == MODE_EXACT or (exact_if_untied and tie_term == 0):
-                smaller, observed = (
-                    (n, doubled_sum_a) if n <= m else (m, doubled_total - doubled_sum_a)
-                )
-                p = _exact_pvalue(tuple(doubled[i].tolist()), smaller, observed)
-                method = MODE_EXACT
-            else:
-                p = _normal_pvalue(r_a, float(tie_term), n, m)
-                method = MODE_NORMAL
-            results.append(MannWhitneyResult(statistic=u, pvalue=p, method=method))
+        u_a = 0.5 * doubled_sums_a - 0.5 * n * (n + 1)
+        if mode == MODE_EXACT:
+            exact = np.ones(len(u_a), dtype=bool)
+        else:
+            exact = (tie_terms == 0) & exact_if_untied
+        pvalues = np.empty(len(u_a))
+        pvalues[~exact] = _normal_pvalues(u_a[~exact], tie_terms[~exact], n, m)
+        for i in np.flatnonzero(exact).tolist():
+            doubled_sum_a = int(doubled_sums_a[i])
+            smaller, observed = (
+                (n, doubled_sum_a) if n <= m else (m, doubled_total - doubled_sum_a)
+            )
+            pvalues[i] = _exact_pvalue(tuple(doubled[i].tolist()), smaller, observed)
+        results.extend(
+            map(
+                MannWhitneyResult,
+                np.minimum(u_a, n * m - u_a).tolist(),
+                pvalues.tolist(),
+                [MODE_EXACT if e else MODE_NORMAL for e in exact.tolist()],
+            )
+        )
     return tuple(results)
 
 

@@ -8,16 +8,29 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feedaudit import (
+    SCOPE_ALL,
+    SCOPE_OON,
     AmplificationRow,
     AnalysisError,
     ConfigError,
     DataError,
     ExposureTable,
+    FleetConfig,
+    GroupLabel,
+    RankerParams,
     amplification_ratio,
     build_amplification_report,
+    build_exposure_table,
+    build_world,
+    calibrate,
     group_amplification_magnitude,
     group_mean_exposure,
+    lean_labels,
+    make_monitors,
     mann_whitney_u,
+    mann_whitney_u_many,
+    run_fleet,
+    top_k,
 )
 
 
@@ -211,6 +224,175 @@ class TestAgainstPerAuthorLoop:
         rows = build_amplification_report(part, base, top=len(observed), leans=leans)
         assert {r.author_id for r in rows} == observed
         assert rows == per_author_report(part, base, leans)
+
+
+# Dict-based reference: the report as assembled one author at a time from
+# per-author dicts. The array implementation must reproduce it exactly,
+# down to the scalar types that repr() shows.
+
+
+def dict_top_k(entries, k):
+    return sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+
+
+def dict_group_mean_exposure(tables):
+    n = len(tables)
+    sums = {}
+    for t in tables:
+        for a, e in t.entries.items():
+            sums[a] = sums.get(a, 0.0) + e
+    return {a: s / n for a, s in sums.items()}
+
+
+def dict_exposure_matrix(tables, index):
+    out = np.zeros((len(index), len(tables)))
+    for j, t in enumerate(tables):
+        for author, exposure in t.entries.items():
+            i = index.get(author)
+            if i is not None:
+                out[i, j] = exposure
+    return out
+
+
+def dict_report(partisan_tables, baseline_tables, *, top=50, alpha=0.05, leans=None):
+    n_part = len(partisan_tables)
+    n_base = len(baseline_tables)
+    partisan_means = dict_group_mean_exposure(partisan_tables)
+    baseline_means = dict_group_mean_exposure(baseline_tables)
+    pooled = {
+        a: (partisan_means.get(a, 0.0) * n_part + baseline_means.get(a, 0.0) * n_base)
+        / (n_part + n_base)
+        for a in set(partisan_means) | set(baseline_means)
+    }
+    candidates = {author: i for i, (author, _) in enumerate(dict_top_k(pooled, top))}
+    tests = mann_whitney_u_many(
+        dict_exposure_matrix(partisan_tables, candidates),
+        dict_exposure_matrix(baseline_tables, candidates),
+    )
+    rows = []
+    for author, res in zip(candidates, tests):
+        p_mean = partisan_means.get(author, 0.0)
+        b_mean = baseline_means.get(author, 0.0)
+        rows.append(
+            AmplificationRow(
+                author_id=author,
+                lean_label=(leans or {}).get(author, "unknown"),
+                partisan_mean=p_mean,
+                baseline_mean=b_mean,
+                ratio_pct=amplification_ratio(p_mean, b_mean),
+                statistic=res.statistic,
+                pvalue=res.pvalue,
+                significant=res.pvalue < alpha,
+            )
+        )
+    rows.sort(key=lambda r: (-r.ratio_pct, r.author_id))
+    return tuple(rows)
+
+
+def assert_rows_bitwise(rows, expected):
+    assert len(rows) == len(expected)
+    for r, e in zip(rows, expected):
+        assert (r.author_id, r.lean_label, r.significant) == (e.author_id, e.lean_label, e.significant)
+        for name in ("partisan_mean", "baseline_mean", "ratio_pct", "statistic", "pvalue"):
+            assert float.hex(float(getattr(r, name))) == float.hex(float(getattr(e, name))), name
+
+
+@pytest.fixture(scope="module")
+def fleet_tables():
+    """{scope: {group: [per-monitor table]}} for a small simulated fleet,
+    and the world's lean labels."""
+    world = build_world(n_authors=300, seed=3)
+    # Nine monitors per group: past eight, a pairwise sum of an author's
+    # exposures adds them in another order than one table at a time.
+    fleet = FleetConfig(monitors_per_group=9, sessions_per_day=2, duration_days=2, session_length=60)
+    params = RankerParams(seed=3)
+    sessions = run_fleet(world, fleet, params, make_monitors(world, fleet, params.seed))
+    grouped = {}
+    for s in sessions:
+        grouped.setdefault(s.group, {}).setdefault(s.monitor_id, []).append(s)
+    model = calibrate(60)
+    tables = {
+        scope: {
+            g: [build_exposure_table(mons[m], model, scope=scope) for m in sorted(mons)]
+            for g, mons in grouped.items()
+        }
+        for scope in (SCOPE_OON, SCOPE_ALL)
+    }
+    return tables, lean_labels(world)
+
+
+class TestAgainstDictReference:
+    @pytest.mark.parametrize("scope", [SCOPE_OON, SCOPE_ALL])
+    @pytest.mark.parametrize("side", [GroupLabel.LEFT, GroupLabel.RIGHT])
+    def test_simulated_tables_repr(self, fleet_tables, scope, side):
+        tables, leans = fleet_tables
+        part, base = tables[scope][side], tables[scope][GroupLabel.BALANCED]
+        observed = {a for t in (*part, *base) for a in t.entries}
+        for top in (len(observed), 50):
+            rows = build_amplification_report(part, base, top=top, leans=leans)
+            assert repr(rows) == repr(dict_report(part, base, top=top, leans=leans))
+        assert {r.author_id for r in rows} <= observed
+        # Authors one group never saw get a float 0.0 mean.
+        full = build_amplification_report(part, base, top=len(observed), leans=leans)
+        assert {r.author_id for r in full} == observed
+        assert any(type(r.partisan_mean) is float for r in full)
+        for group_tables in tables[scope].values():
+            means = group_mean_exposure(group_tables)
+            assert repr(means) == repr(dict_group_mean_exposure(group_tables))
+            assert repr(top_k(means, 20)) == repr(dict_top_k(means, 20))
+
+    @pytest.mark.parametrize(
+        "part,base,top",
+        [
+            # authors seen by only one group
+            ([{"a": 1.0}, {"b": 2.0}], [{"c": 3.0}, {"c": 1.0, "a": 0.5}], 10),
+            # equal pooled means and equal ratios, ranked by author id
+            ([{"b": 1.0, "a": 1.0}, {"a": 1.0, "b": 1.0}], [{"c": 1.0, "d": 1.0}, {"d": 1.0, "c": 1.0}], 3),
+            # a monitor with one author, another with none
+            ([{"x": 0.25}, {}], [{"x": 0.125, "y": 4.0}, {"y": 0.0}], 1),
+            # exposures whose sums depend on the order of the adds
+            ([{"a": 0.1, "b": 0.7}, {"a": 0.2}, {"a": 0.3, "b": 1e-17}], [{"b": 0.1}, {"a": 1e16}], 2),
+        ],
+    )
+    def test_hand_built_cases(self, part, base, top):
+        p = [_table(f"p{i}", e) for i, e in enumerate(part)]
+        b = [_table(f"b{i}", e) for i, e in enumerate(base)]
+        assert_rows_bitwise(build_amplification_report(p, b, top=top), dict_report(p, b, top=top))
+        for group in (p, b):
+            means = group_mean_exposure(group)
+            expected = dict_group_mean_exposure(group)
+            assert list(means) == list(expected)
+            assert [float.hex(float(v)) for v in means.values()] == [
+                float.hex(v) for v in expected.values()
+            ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        data=st.data(),
+        n_part=st.integers(min_value=2, max_value=10),
+        n_base=st.integers(min_value=2, max_value=10),
+        top=st.integers(min_value=1, max_value=12),
+    )
+    def test_hand_built_tables(self, data, n_part, n_base, top):
+        authors = st.sampled_from([f"u{i}" for i in range(10)])
+        # A few repeated values make ties in pooled means and in ratios.
+        values = st.one_of(
+            st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+            st.floats(min_value=0.0, max_value=1e6, allow_nan=False),
+        )
+        entries = st.dictionaries(authors, values, max_size=8)
+        part = [_table(f"p{i}", data.draw(entries)) for i in range(n_part)]
+        base = [_table(f"b{i}", data.draw(entries)) for i in range(n_base)]
+        assert_rows_bitwise(build_amplification_report(part, base, top=top), dict_report(part, base, top=top))
+
+    def test_negative_entry_raises(self):
+        part = [_table("p0", {"a": 1.0, "neg": -5.0}), _table("p1", {"a": 2.0})]
+        base = [_table("b0", {"a": 1.0, "b": 0.5}), _table("b1", {"b": 0.5})]
+        for report in (build_amplification_report, dict_report):
+            with pytest.raises(AnalysisError, match="mean exposures must be non-negative"):
+                report(part, base, top=3)
+            # Outside the top the negative author is never tested.
+            assert len(report(part, base, top=2)) == 2
 
 
 class TestMagnitude:

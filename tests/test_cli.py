@@ -484,6 +484,21 @@ class TestPipeline:
         summary = json.loads((out / "summary.json").read_text())
         assert list(summary["gini_median"]) == ["left"]
 
+    def test_rejected_log_writes_no_artifact(self, tmp_path, capsys):
+        # Two one- and two-tweet sessions are too short to calibrate a
+        # decay model, which fails after the log has been read.
+        recs = [
+            session("s1", "m1", [entry(1, "a\rb"), entry(2, "c")], group="left"),
+            session("s2", "m1", [entry(1, "c")], group="left"),
+        ]
+        log = tmp_path / "cr.csv"
+        write_sessions(recs, log)
+        out = tmp_path / "cr-report"
+        rc, _, err = run(capsys, "report", "--input", str(log), "--out-dir", str(out))
+        assert rc == 3
+        assert "mean 2" in err
+        assert list(out.iterdir()) == []
+
     def test_authors_without_input_rejected(self, ws, tmp_path, capsys):
         out = tmp_path / "run"
         rc, _, err = run(

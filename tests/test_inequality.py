@@ -128,6 +128,24 @@ class TestLorenz:
             assert np.all(np.diff(ys) >= 0)
             assert np.all(np.asarray(ys) <= np.asarray(xs) + 1e-12)
 
+    @pytest.mark.parametrize("n", [1, 3, 7, 49, 1000])
+    def test_points_match_loop_formula(self, n):
+        rng = np.random.default_rng(n)
+        values = np.where(rng.random(n) < 0.3, 0.0, rng.exponential(size=n))
+        values[0] = 1.0
+        x = np.sort(values)
+        cum = np.cumsum(x) / x.sum()
+        expected = [(0.0, 0.0)] + [((i + 1) / n, float(cum[i])) for i in range(n)]
+        curve = lorenz(values)
+
+        def hexed(points):
+            return [(float.hex(px), float.hex(py)) for px, py in points]
+
+        assert hexed(curve.points) == hexed(expected)
+        assert all(type(v) is float for p in curve.points for v in p)
+        assert [float.hex(v) for v in curve.x] == [float.hex(p[0]) for p in expected]
+        assert [float.hex(v) for v in curve.y] == [float.hex(p[1]) for p in expected]
+
     def test_gini_consistency(self):
         rng = np.random.default_rng(20)
         for _ in range(100):

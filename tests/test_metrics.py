@@ -222,6 +222,17 @@ class TestTopK:
         table = build_exposure_table([authors_session("s1", "m1", ["a", "b"])], model200)
         assert top_k(table, 1)[0][0] == "a"
 
+    # 40 authors: k below, at and above the table size.
+    @pytest.mark.parametrize("k", [1, 7, 39, 40, 41, 100])
+    def test_matches_full_sort(self, k):
+        rng = np.random.default_rng(k)
+        ids = [f"a{i:02d}" for i in rng.permutation(40)]
+        # Few distinct values, so ties straddle every cut.
+        values = rng.choice([0.0, 0.5, 1.25, 2.0, 3.0], size=40)
+        entries = dict(zip(ids, values))
+        expected = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
+        assert repr(top_k(entries, k)) == repr(expected)
+
 
 class TestGroupMeanExposure:
     def test_absent_author_counts_as_zero(self, model200):

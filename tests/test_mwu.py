@@ -68,8 +68,9 @@ def oracle_exact(sample_a, sample_b):
     return min(u_a, n * m - u_a), min(p, Fraction(1))
 
 
-def reference_normal_pvalue(sample_a, sample_b):
-    """Tie-corrected normal p-value with Edgeworth term, row by row.
+def reference_normal(sample_a, sample_b):
+    """Statistic and tie-corrected normal p-value with Edgeworth term,
+    row by row with Python floats and ``math``.
 
     Loop midranks and np.unique tie counts, in the same arithmetic order
     as the implementation, so results must agree bit for bit.
@@ -78,19 +79,20 @@ def reference_normal_pvalue(sample_a, sample_b):
     big_n = n + m
     ranks = midranks(list(sample_a) + list(sample_b))
     u_a = float(sum(ranks[:n])) - 0.5 * n * (n + 1)
+    statistic = min(u_a, n * m - u_a)
     big_u = max(u_a, n * m - u_a)
     _, tie_counts = np.unique(ranks, return_counts=True)
     tie_term = float(((tie_counts**3) - tie_counts).sum())
     var = (n * m / 12.0) * ((big_n + 1.0) - tie_term / (big_n * (big_n - 1.0)))
     if var <= 0.0:
-        return 1.0
+        return statistic, 1.0
     z = (big_u - 0.5 * n * m - 0.5) / math.sqrt(var)
     g2 = -1.2 * (n * n + m * m + n * m + n + m) / (n * m * (big_n + 1.0))
     tail = 0.5 * math.erfc(z / math.sqrt(2.0))
     tail += (g2 / 24.0) * (z**3 - 3.0 * z) * math.exp(-0.5 * z * z) * (
         1.0 / math.sqrt(2.0 * math.pi)
     )
-    return min(1.0, 2.0 * min(max(tail, 0.0), 1.0))
+    return statistic, min(1.0, 2.0 * min(max(tail, 0.0), 1.0))
 
 
 def mixed_rows(seed, k, n, m):
@@ -225,7 +227,44 @@ class TestBatched:
         for i, res in enumerate(mann_whitney_u_many(a, b, mode=mode)):
             assert res == mann_whitney_u(a[i].tolist(), b[i].tolist(), mode=mode)
             assert res.method == MODE_NORMAL
-            assert res.pvalue == reference_normal_pvalue(a[i].tolist(), b[i].tolist())
+            assert res.pvalue == reference_normal(a[i].tolist(), b[i].tolist())[1]
+
+    def test_normal_path_bitwise(self):
+        # Heavy-zero rows whose two samples have their own zero share
+        # give many distinct z values, large ones too, where the
+        # Edgeworth term weighs most: enough that math.exp or z**3
+        # swapped for numpy's exp or power shows. Every 97th row is
+        # all-equal (variance 0, p = 1). 10,240 rows span 40 blocks.
+        rng = np.random.default_rng(2024)
+        k, n, m = 10_240, 30, 25
+        zero_share = np.repeat(rng.uniform(0.05, 0.97, size=(k, 2)), [n, m], axis=1)
+        pooled = np.where(rng.random((k, n + m)) < zero_share, 0.0, rng.exponential(size=(k, n + m)))
+        pooled[::97] = 1.5
+        a, b = pooled[:, :n], pooled[:, n:]
+        results = mann_whitney_u_many(a, b, mode=MODE_AUTO)
+        assert len(results) == k
+        for i, res in enumerate(results):
+            statistic, pvalue = reference_normal(a[i].tolist(), b[i].tolist())
+            assert res.method == MODE_NORMAL
+            assert float.hex(res.statistic) == float.hex(statistic)
+            assert float.hex(res.pvalue) == float.hex(pvalue), i
+        assert all(res.pvalue == 1.0 for res in results[::97])
+
+    def test_auto_mixes_exact_and_normal_rows(self):
+        # n <= 8: auto takes the exact path on tie-free rows and the
+        # normal path on tied ones, across three blocks.
+        a, b = mixed_rows(13, 600, 4, 5)
+        results = mann_whitney_u_many(a, b, mode=MODE_AUTO)
+        for i, res in enumerate(results):
+            if i % 3 == 1:
+                statistic, pvalue = oracle_exact(a[i].tolist(), b[i].tolist())
+                assert res.method == MODE_EXACT
+                pvalue = float(pvalue)
+            else:
+                statistic, pvalue = reference_normal(a[i].tolist(), b[i].tolist())
+                assert res.method == MODE_NORMAL
+            assert float.hex(res.statistic) == float.hex(statistic)
+            assert float.hex(res.pvalue) == float.hex(pvalue), i
 
     def test_empty_batch(self):
         empty = np.empty((0, 15))
