@@ -17,6 +17,7 @@ import contextlib
 import dataclasses
 import inspect
 import json
+import os
 import sys
 from datetime import datetime
 from enum import Enum
@@ -589,34 +590,44 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         ingest_info = {"total": res.total, "filtered": res.filtered, "skipped": res.skipped}
     else:
         world, sessions = _simulate(cfg)
-        write_sessions(sessions, artifact("sessions.csv"))
-        write_authors(world.authors, artifact("authors.csv"), lean_threshold=analysis["lean_threshold"])
         labels = lean_labels(world, analysis["lean_threshold"])
         source = {"simulated": True, "seed": cfg.get("seed", 0)}
         ingest_info = {"total": len(sessions), "filtered": 0, "skipped": 0}
     if not sessions:
         raise DataError("no valid sessions to analyze")
 
-    # Analysis can still reject the log, so it runs before any report is
-    # written: a failed run leaves no partial set of artifacts behind.
+    # Analysis can still reject the log, so every report is computed
+    # before the first artifact, the simulated log included, is written:
+    # a failed run leaves no partial set of artifacts behind.
     models, tables = _analyze(sessions, decay_cfg, analysis)
-
-    emit_report(
-        [dataclasses.asdict(g) for g in dataset_stats(sessions).groups],
-        artifact("stats.csv"),
-        columns=_STATS_COLUMNS,
-    )
-
     gini_report = group_gini_distribution(tables, alpha=analysis["alpha_gini"], mode=analysis["mw_mode"])
-    emit_report(_gini_rows(tables, gini_report), artifact("gini_monitors.csv"), columns=_GINI_COLUMNS)
-    emit_report(_gini_pair_rows(gini_report), artifact("gini_pairwise.csv"), columns=_GINI_PAIR_COLUMNS)
-    emit_report(_lorenz_rows(tables, analysis["lorenz_grid"]), artifact("lorenz.csv"), columns=_LORENZ_COLUMNS)
-
-    topk_rows: list[dict[str, Any]] = []
-    for group in GROUP_ORDER:
-        if group in tables:
-            topk_rows.extend(_topk_rows(tables, group, analysis["top"], labels))
-    emit_report(topk_rows, artifact("topk.csv"), columns=_TOPK_COLUMNS)
+    amplification = {
+        group: build_amplification_report(
+            tables[group],
+            tables[GroupLabel.BALANCED],
+            top=analysis["top"],
+            alpha=analysis["alpha_amplify"],
+            leans=labels,
+            mode=analysis["mw_mode"],
+        )
+        for group in (GroupLabel.LEFT, GroupLabel.RIGHT)
+        if group in tables and GroupLabel.BALANCED in tables
+    }
+    reports = {
+        "stats.csv": ([dataclasses.asdict(g) for g in dataset_stats(sessions).groups], _STATS_COLUMNS),
+        "gini_monitors.csv": (_gini_rows(tables, gini_report), _GINI_COLUMNS),
+        "gini_pairwise.csv": (_gini_pair_rows(gini_report), _GINI_PAIR_COLUMNS),
+        "lorenz.csv": (_lorenz_rows(tables, analysis["lorenz_grid"]), _LORENZ_COLUMNS),
+        "topk.csv": (
+            [row for group in GROUP_ORDER if group in tables
+             for row in _topk_rows(tables, group, analysis["top"], labels)],
+            _TOPK_COLUMNS,
+        ),
+        **{
+            f"amplify_{group.value}.csv": (_amplify_rows(rows), _AMPLIFY_COLUMNS)
+            for group, rows in amplification.items()
+        },
+    }
 
     summary: dict[str, Any] = {"gini_median": gini_report.medians(), "shares": {}}
     if labels:
@@ -624,29 +635,20 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             if group in tables:
                 with contextlib.suppress(AnalysisError):
                     summary["shares"][group.value] = _shares(tables[group], analysis["top"], labels)
-
-    reports = {}
-    for group in (GroupLabel.LEFT, GroupLabel.RIGHT):
-        if group in tables and GroupLabel.BALANCED in tables:
-            rows = build_amplification_report(
-                tables[group],
-                tables[GroupLabel.BALANCED],
-                top=analysis["top"],
-                alpha=analysis["alpha_amplify"],
-                leans=labels,
-                mode=analysis["mw_mode"],
-            )
-            reports[group] = rows
-            emit_report(_amplify_rows(rows), artifact(f"amplify_{group.value}.csv"), columns=_AMPLIFY_COLUMNS)
-    if len(reports) == 2:
+    if len(amplification) == 2:
         try:
             mag = group_amplification_magnitude(
-                reports[GroupLabel.LEFT], reports[GroupLabel.RIGHT], mode=analysis["mw_mode"]
+                amplification[GroupLabel.LEFT], amplification[GroupLabel.RIGHT], mode=analysis["mw_mode"]
             )
             summary["magnitude_left_vs_right"] = _jsonable(mag)
         except AnalysisError as exc:
             summary["magnitude_left_vs_right"] = {"error": str(exc)}
 
+    if not args.input:
+        write_sessions(sessions, artifact("sessions.csv"))
+        write_authors(world.authors, artifact("authors.csv"), lean_threshold=analysis["lean_threshold"])
+    for name, (rows, columns) in reports.items():
+        emit_report(rows, artifact(name), columns=columns)
     with artifact("summary.json").open("w", encoding="utf-8") as fh:
         json.dump(_jsonable(summary), fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -792,7 +794,15 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # Standard output was closed early, as by `| head`. Output goes
+        # to os.devnull from here on, so that the flush at exit does not
+        # fail again (the recipe of the `signal` module's documentation).
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

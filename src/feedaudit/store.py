@@ -10,13 +10,17 @@ both CSV and JSON so the two formats carry value-identical numbers.
 Sessions in memory are the columns of a
 :class:`~feedaudit.model.SessionBatch`; see :mod:`feedaudit.model`.
 
-Writing formats one session at a time from its columns: the shared
-``session_id,monitor_id,group,captured_at`` prefix is formatted once,
-the flags of a row come from its mask, and the rows are joined into one
-string. A whole-chunk check proves that no field needed quoting; a
-session that fails it, or whose fields are not plain ``str``/``int``
-values, is written row by row by ``csv.writer``, so the bytes are the
-same either way. Every CSV writer here, for logs, rosters and reports,
+Writing formats blocks of whole sessions of a few thousand rows with
+numpy, from the columns of their batch, and builds no Python string per
+row: each row is a record of NUL-padded fixed-width fields, taken from
+small tables (the ``session_id,monitor_id,group,captured_at,`` prefix
+per session, ``"r,"`` by rank, ``"id,"`` by author code, the flag text
+by mask) and from the session's joined tweet ids, and dropping the NULs
+leaves the text of the block. A session is formatted this way only when
+checks on its ids, ranks and masks prove that ``csv.writer`` would write
+the same bytes; any other session, and a record built from entries whose
+fields are not plain ``str``/``int`` values, is written row by row by
+``csv.writer``. Every CSV writer here, for logs, rosters and reports,
 also quotes a field holding a carriage return, since a reader would
 otherwise take it for a line break.
 
@@ -57,16 +61,19 @@ from __future__ import annotations
 
 import csv
 import gc
+import io
 import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from itertools import accumulate
+from itertools import accumulate, groupby
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence, TextIO
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, DataError, ParseError
 from .model import (
@@ -79,6 +86,7 @@ from .model import (
     AuthorId,
     BatchBuilder,
     GroupLabel,
+    SessionBatch,
     SessionRecord,
     TimelineEntry,
     batch_of,
@@ -222,40 +230,191 @@ def _csv_writer(fh: TextIO):
     return csv.writer(_LineFeedRows(fh), lineterminator="\r\n")
 
 
-def _session_text(
-    record: SessionRecord, group: str, ts: str, columns: tuple[Sequence, ...]
-) -> str | None:
-    """The CSV rows of one session as a single string, or None when that
-    string might differ from what ``csv.writer`` writes.
+#: Rows the writer formats at a time, at least: a block is whole sessions.
+_WRITE_ROWS = 4096
+#: What makes ``csv.writer`` quote a field, and the NUL that pads the
+#: writer's byte matrix.
+_SPECIAL = ',"\r\n\0'
 
-    Its fields are formatted without quoting, so the text is taken only
-    when every id is a ``str`` and every rank an ``int``, and when the
-    whole text holds exactly 11 commas and one newline per row and no
-    quote, carriage return or NUL: then no field needed quoting.
+
+def _quotes_nothing(text: str) -> bool:
+    return text.isascii() and not any(c in text for c in _SPECIAL)
+
+
+def _plain_id(value: object) -> bool:
+    """Whether ``csv.writer`` writes ``value`` as its text and the byte
+    matrix of :class:`_LogWriter` can take it: an exact ``str`` of at most
+    ``_FIELD_BYTES`` ASCII characters, none of them in ``_SPECIAL``."""
+    return type(value) is str and len(value) <= _FIELD_BYTES and _quotes_nothing(value)
+
+
+def _typed(record: SessionRecord) -> bool:
+    """Whether a record built from its entries goes into a batch with its
+    values unchanged: ids exactly ``str`` and ranks exactly ``int`` in the
+    ``int32`` range."""
+    ranks, tweet_ids, authors, shown, _ = record.columns()
+    return (
+        type(record.session_id) is str
+        and type(record.monitor_id) is str
+        and all(type(r) is int and -(1 << 31) <= r < 1 << 31 for r in ranks)
+        and all(type(v) is str for column in (tweet_ids, authors, shown) for v in column)
+    )
+
+
+def _csv_text(record: SessionRecord) -> bytes:
+    """The rows of one session as ``csv.writer`` writes them (see
+    :func:`_csv_writer`), encoded."""
+    buf = io.StringIO()
+    writer = _csv_writer(buf)
+    group = record.group.value if record.group is not None else ""
+    ts = _format_ts(record.captured_at)
+    ranks, tweet_ids, authors, shown, masks = record.columns()
+    for row in zip(ranks, tweet_ids, authors, shown, map(_FLAG_FIELDS.__getitem__, masks)):
+        writer.writerow((record.session_id, record.monitor_id, group, ts, *row[:4], *row[4]))
+    return buf.getvalue().encode()
+
+
+def _table(texts: Sequence[str]) -> np.ndarray:
+    """ASCII texts as a fixed-width ``S`` array, each padded with NULs."""
+    return np.array(texts, dtype="S")
+
+
+# The flag fields and line feed that end a row, keyed on its flag mask.
+_FLAG_ROWS = _table([text + "\n" for text in _FLAG_TEXTS])
+
+
+class _LogWriter:
+    """Writes sessions of one batch to a binary log file, formatting
+    blocks of whole sessions of at least ``_WRITE_ROWS`` rows with numpy.
+
+    Each row of a block becomes one record of fixed-width fields padded
+    with NULs, so that the block is a (rows x width) byte matrix: the
+    ``session_id,monitor_id,group,captured_at,`` prefix from a table with
+    one entry per session, the rank from a table of ``"1,"``..``"L,"``,
+    the tweet id and its comma from the session's ``tweet_text`` at the
+    row's ``tweet_ends``, the author and displayed-author ids from one
+    ``"id,"`` table per batch and the flags and line feed from a table
+    keyed on the mask. Dropping the NULs leaves the text of the block. A
+    session is formatted this way only when ``csv.writer`` would write
+    the same bytes and the matrix stays narrow: its session, monitor,
+    author and displayed-author ids pass :func:`_plain_id`, its tweet ids
+    make up its ``tweet_text``, hold nothing of ``_SPECIAL`` and are at
+    most ``_FIELD_BYTES`` long, its ranks are in 1..L for L rows and its
+    masks below 16. Any other session is written by ``csv.writer``
+    (:func:`_csv_text`).
     """
-    ranks, tweet_ids, authors, shown, masks = columns
-    if not ranks:
-        return ""
-    if (
-        set(map(type, ranks)) != {int}
-        or {type(record.session_id), type(record.monitor_id), *map(type, tweet_ids),
-            *map(type, authors), *map(type, shown)} != {str}
-    ):
-        return None
-    prefix = f"{record.session_id},{record.monitor_id},{group},{ts},".replace("%", "%%")
-    row = (prefix + "%d,%s,%s,%s,%s\n").__mod__
-    flag_texts = map(_FLAG_TEXTS.__getitem__, masks)
-    text = "".join(map(row, zip(ranks, tweet_ids, authors, shown, flag_texts)))
-    n = len(ranks)
-    if (
-        text.count(",") != 11 * n
-        or text.count("\n") != n
-        or '"' in text
-        or "\r" in text
-        or "\0" in text
-    ):
-        return None
-    return text
+
+    def __init__(self, fh: BinaryIO, batch: SessionBatch) -> None:
+        self.fh = fh
+        self.batch = batch
+        plain = list(map(_plain_id, batch.ids))
+        self.id_ok = np.array(plain, bool)
+        self.id_text = _table([f"{i}," if ok else "" for i, ok in zip(batch.ids, plain)])
+        self.rank_text = _table([])  # "r," keyed on r, for the longest session so far
+
+    def write(self, index: np.ndarray, records: Sequence[SessionRecord]) -> None:
+        """Write sessions ``index`` of the batch, in that order;
+        ``records`` are the same sessions, for the ``csv.writer`` path."""
+        lengths = (self.batch.offsets[index + 1] - self.batch.offsets[index]).tolist()
+        start = rows = 0
+        for stop, n in enumerate(lengths, 1):
+            rows += n
+            if rows >= _WRITE_ROWS or stop == len(lengths):
+                self.block(index[start:stop], records[start:stop])
+                start, rows = stop, 0
+
+    def block(self, index: np.ndarray, records: Sequence[SessionRecord]) -> None:
+        batch = self.batch
+        rows = batch.rows(index)
+        author, shown, rank, flags, ends = (
+            batch.author[rows], batch.shown[rows], batch.rank[rows], batch.flags[rows], batch.tweet_ends[rows],
+        )
+        lengths = batch.offsets[index + 1] - batch.offsets[index]
+        first = np.cumsum(lengths) - lengths  # each session's first row
+        session = np.repeat(np.arange(len(index)), lengths)
+        starts = np.empty_like(ends)  # where each row's tweet id starts in its session's text
+        starts[1:] = ends[:-1]
+        starts[first[lengths > 0]] = 0
+        size = ends - starts
+        bad = ~(
+            self.id_ok[author]
+            & self.id_ok[shown]
+            & (rank >= 1)
+            & (rank <= lengths[session])
+            & (flags < 16)
+            & (size >= 0)
+            & (size <= _FIELD_BYTES)
+        )
+        plain = np.bincount(session[bad], minlength=len(index)) == 0
+        text_sizes = np.concatenate(([0], np.cumsum(size)))
+        text_sizes = (text_sizes[first + lengths] - text_sizes[first]).tolist()
+        prefixes, tweet_texts = [], []
+        for k, i in enumerate(index.tolist()):
+            sid, mon, tweets = batch.session_id[i], batch.monitor_id[i], batch.tweet_text[i]
+            if plain[k] and _plain_id(sid) and _plain_id(mon) and len(tweets) == text_sizes[k] and _quotes_nothing(tweets):
+                group = batch.group[i]
+                group_text = group.value if group is not None else ""
+                prefixes.append(f"{sid},{mon},{group_text},{_format_ts(batch.captured_at[i])},")
+                tweet_texts.append(tweets)
+            else:
+                plain[k] = False
+                prefixes.append("")
+        if not plain.all():
+            keep = plain[session]
+            session, author, shown, rank, flags, size = (c[keep] for c in (session, author, shown, rank, flags, size))
+        text = self.text(_table(prefixes), session, author, shown, rank, flags, size, "".join(tweet_texts))
+        row = 0
+        for ok, run in groupby(zip(plain.tolist(), lengths.tolist(), records), key=itemgetter(0)):
+            if ok:
+                stop = row + sum(n for _, n, _ in run)
+                self.fh.write(text[row:stop].tobytes().replace(b"\0", b""))
+                row = stop
+            else:
+                for _, _, record in run:
+                    self.fh.write(_csv_text(record))
+
+    def text(
+        self,
+        prefixes: np.ndarray,
+        session: np.ndarray,
+        author: np.ndarray,
+        shown: np.ndarray,
+        rank: np.ndarray,
+        flags: np.ndarray,
+        size: np.ndarray,
+        tweet_text: str,
+    ) -> np.ndarray:
+        """One record of NUL-padded fields per row, from the row columns
+        of plain sessions, their ``prefixes`` and their joined tweet ids."""
+        longest = int(rank.max(initial=0))
+        if longest >= len(self.rank_text):
+            self.rank_text = _table([f"{r}," for r in range(longest + 1)])
+        # Row r's tweet id is the first size[r] bytes of the window at its
+        # start in the joined text, which is padded so that every window
+        # is whole; its comma follows.
+        n, width = len(session), int(size.max(initial=0)) + 1
+        windows = sliding_window_view(np.frombuffer(tweet_text.encode() + bytes(width), np.uint8), width)
+        tweet_ids = windows[np.cumsum(size) - size]
+        tweet_ids *= np.arange(width) < size[:, None]
+        tweet_ids[np.arange(n), size] = _COMMA
+        fields = (
+            ("prefix", prefixes.take(session)),
+            ("rank", self.rank_text.take(rank)),
+            ("tweet_id", tweet_ids.view(f"S{width}").reshape(n)),
+            ("author", self.id_text.take(author)),
+            ("shown", self.id_text.take(shown)),
+            ("flags", _FLAG_ROWS.take(flags)),
+        )
+        text = np.empty(n, [(name, column.dtype) for name, column in fields])
+        for name, column in fields:
+            text[name] = column
+        return text
+
+
+def _run_key(record: SessionRecord) -> object:
+    """Views of one batch share the batch as key; a record built from its
+    entries has key :func:`_typed`."""
+    return record._batch if record._batch is not None else _typed(record)
 
 
 def write_sessions(
@@ -264,36 +423,31 @@ def write_sessions(
     """Write sessions as CSV rows; returns the number of sessions written.
 
     With ``append`` the header is only written when the file is new or
-    empty. Each session is written from its columns
-    (:meth:`SessionRecord.columns`, which a batch view reads from its
-    batch) as one string: its shared
-    ``session_id,monitor_id,group,captured_at`` prefix is formatted once
-    and its flags come from one lookup. A session whose text might need
-    quoting, or whose fields are not plain ``str``/``int`` values, is
-    written row by row through ``csv.writer`` instead, so the bytes are
-    those of ``csv.writer`` either way, except that a field holding a
-    carriage return is quoted too, so that the log reads back.
+    empty. Views of one batch are formatted from its columns by
+    :class:`_LogWriter`, block by block with numpy, and a run of records
+    built from their entries is copied into one batch first, through
+    :func:`~feedaudit.model.batch_of`. A session whose fields need
+    quoting, or do not fit the writer's byte matrix, and a record whose
+    fields are not plain ``str``/``int`` values, are written row by row by
+    ``csv.writer`` instead. The bytes are those of ``csv.writer`` either
+    way, except that a field holding a carriage return is quoted too, so
+    that the log reads back.
     """
     path = Path(path)
-    mode = "a" if append else "w"
     need_header = not (append and path.exists() and path.stat().st_size > 0)
     count = 0
-    with path.open(mode, newline="", encoding="utf-8") as fh:
-        writer = _csv_writer(fh)
+    with path.open("ab" if append else "wb") as fh:
         if need_header:
-            fh.write(",".join(SESSION_FIELDS) + "\n")
-        for s in sessions:
-            group = s.group.value if s.group is not None else ""
-            ts = _format_ts(s.captured_at)
-            columns = s.columns()
-            text = _session_text(s, group, ts, columns)
-            if text is not None:
-                fh.write(text)
+            fh.write(_HEADER_LINE)
+        for key, run in groupby(sessions, _run_key):
+            run = list(run)
+            count += len(run)
+            if key is False:
+                for record in run:
+                    fh.write(_csv_text(record))
             else:
-                ranks, tweet_ids, authors, shown, masks = columns
-                for row in zip(ranks, tweet_ids, authors, shown, map(_FLAG_FIELDS.__getitem__, masks)):
-                    writer.writerow((s.session_id, s.monitor_id, group, ts, *row[:4], *row[4]))
-            count += 1
+                batch, index = batch_of(run)
+                _LogWriter(fh, batch).write(index, run)
     return count
 
 

@@ -5,10 +5,15 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import feedaudit
 from feedaudit import GROUP_ORDER, write_sessions
 from feedaudit.cli import analysis_options, load_config, main
 
@@ -499,6 +504,18 @@ class TestPipeline:
         assert "mean 2" in err
         assert list(out.iterdir()) == []
 
+    def test_failed_pipeline_writes_no_artifact(self, tmp_path, capsys):
+        # One monitor per group simulates and analyzes, but the Gini
+        # comparison needs two per group; that used to fail after the log,
+        # the roster and stats.csv were written.
+        cfg = tmp_path / "one-monitor.json"
+        cfg.write_text(json.dumps({"fleet": {"monitors_per_group": 1, "duration_days": 1}}))
+        out = tmp_path / "run"
+        rc, _, err = run(capsys, "pipeline", "--seed", "7", "--config", str(cfg), "--out-dir", str(out))
+        assert rc == 3
+        assert err == "data error: group neutral has 1 monitor(s); need at least 2\n"
+        assert list(out.iterdir()) == []
+
     def test_authors_without_input_rejected(self, ws, tmp_path, capsys):
         out = tmp_path / "run"
         rc, _, err = run(
@@ -556,6 +573,35 @@ class TestPipeline:
         assert rc == 0
         for name in PIPELINE_ARTIFACTS - {"sessions.csv", "authors.csv", "manifest.json"}:
             assert digest(piped / name) == digest(rep / name), name
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_1_without_traceback(self, ws, tmp_path, capsys):
+        # The reader closes the pipe after the first line, as `| head -1`
+        # does; the child's later writes to it fail.
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        argv = ["amplify", "--input", str(ws["log"]), "--authors", str(ws["authors"]),
+                "--partisan", "right", "--all", "--out"]
+        assert run(capsys, *argv, str(want))[0] == 0
+        src = str(Path(feedaudit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        for _ in range(3):
+            # unbuffered, so that the first line arrives before the rest;
+            # exit 0 means every write came before the close, so try again
+            child = subprocess.Popen(
+                [sys.executable, "-u", "-m", "feedaudit", *argv, str(got)],
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+            )
+            first = child.stdout.readline()
+            child.stdout.close()
+            err = child.stderr.read()
+            child.stderr.close()
+            rc = child.wait(timeout=120)
+            if rc:
+                break
+        assert first.startswith(b"right vs balanced: ")
+        assert (rc, err) == (1, b"")
+        assert got.read_bytes() == want.read_bytes()
 
 
 class TestParserBasics:

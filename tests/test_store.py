@@ -10,6 +10,7 @@ import io
 import json
 import tracemalloc
 from datetime import datetime, timezone
+from enum import Enum
 from types import SimpleNamespace
 
 import numpy as np
@@ -37,7 +38,7 @@ from feedaudit import (
     write_sessions,
 )
 from feedaudit import store
-from feedaudit.model import ensure_utc, validate_session
+from feedaudit.model import BatchBuilder, ensure_utc, validate_session
 from feedaudit.store import SESSION_FIELDS, IngestResult, format_float
 
 from conftest import T0, authors_session, entry, session
@@ -215,6 +216,65 @@ class TestReadMemory:
         assert (res.total, res.skipped) == (32, 0)
         assert any("a" * 50_000 in s.columns()[2] for s in res.sessions)
         assert held <= 8 * store._BLOCK_BYTES
+
+
+def _transient_write(sessions, path):
+    """What a write of ``sessions`` held at its peak beyond what it
+    keeps, under tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        write_sessions(sessions, path)
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - retained
+
+
+class TestWriteMemory:
+    def test_transient_bounded_by_block_size(self, tmp_path):
+        # What a write of the views of a 1-day and a 2-day log holds at its
+        # peak beyond what it keeps: 1.80 and 1.82 MiB with blocks of at
+        # least 4,096 rows (0.40 MiB for both when each session was
+        # formatted as one string). A write that formatted the log, or a
+        # share of it, at once would grow with it.
+        world = build_world(seed=7)
+        transient = []
+        for days in (1, 2):
+            sessions = run_fleet(world, FleetConfig(monitors_per_group=2, duration_days=days), RankerParams(seed=7))
+            transient.append(_transient_write(sessions, tmp_path / f"{days}.csv"))
+        one, two = transient
+        assert two <= 1.25 * one
+        assert one <= 1024 * store._WRITE_ROWS
+
+    def test_transient_bounded_with_a_long_id(self, tmp_path):
+        # The views of the 1-day log read back with a 50 KB author id and,
+        # in another session, a 50 KB tweet id: 1.80 MiB. The author id is
+        # left out of the writer's id table, and both sessions are written
+        # by csv.writer; as a column of the byte matrix either id would
+        # take 50 KB for each row of its block, and in the id table the
+        # author id would widen every entry to 50 KB.
+        world = build_world(seed=7)
+        path = tmp_path / "log.csv"
+        write_sessions(run_fleet(world, FleetConfig(monitors_per_group=2, duration_days=1), RankerParams(seed=7)), path)
+        lines = path.read_text().split("\n")
+        _set(lines, 10_000, 6, "a" * 50_000)
+        _set(lines, 15_000, 5, "t" * 50_000)
+        path.write_text("\n".join(lines))
+        sessions = read_sessions(path).sessions
+        held = _transient_write(sessions, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+        assert held <= 1024 * store._WRITE_ROWS
+
+    def test_rank_past_the_session_length(self, tmp_path):
+        # A rank far past its session's length is written by csv.writer:
+        # the table of rank texts grows only to the longest session.
+        records = [session("s1", "m1", [entry(1, "a"), entry(1_000_000, "b")], group="left")]
+        held = _transient_write(records, tmp_path / "got.csv")
+        reference_write(records, tmp_path / "want.csv")
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert held <= 1024 * store._WRITE_ROWS
 
 
 class TestFilters:
@@ -434,6 +494,129 @@ class TestWriterDifferential:
             res = read_sessions(got)
             assert res.skipped == 0
             assert list(res.sessions) == [s for s in sessions if s.entries]
+
+
+_WRITE_ALPHABET = st.sampled_from(list('ab1,"\r\n\0%\u00e9'))
+# mostly ids that need no quoting, so that one odd field in a session is
+# what sends it to csv.writer
+_PLAIN_WRITE_IDS = st.sampled_from(["a", "bb", "a0001", ""])
+_WRITE_IDS = st.one_of(_PLAIN_WRITE_IDS, _PLAIN_WRITE_IDS, _PLAIN_WRITE_IDS, st.text(_WRITE_ALPHABET, max_size=4))
+
+
+@st.composite
+def hand_built(draw):
+    """A record built from its entries: ids from an alphabet that needs
+    quoting now and then, and ranks that run 1..L but now and then cross a
+    digit boundary, are below 1 or do not fit in 32 bits."""
+    entries = []
+    for r in range(1, draw(st.integers(0, 4)) + 1):
+        rank = draw(st.sampled_from([r, r, r, 1, 9, 10, 9999, 10000, 0, -3, 1 << 40]))
+        flags = draw(st.lists(st.booleans(), min_size=4, max_size=4))
+        entries.append(TimelineEntry(rank, draw(_WRITE_IDS), draw(_WRITE_IDS), draw(_WRITE_IDS), *flags))
+    return session(
+        draw(_WRITE_IDS), draw(_WRITE_IDS), entries,
+        captured_at=draw(st.sampled_from([T0, datetime(2024, 10, 3, 12, 30, 15, 250)])),
+        group=draw(st.sampled_from([None, *GroupLabel])),
+    )
+
+
+@pytest.fixture(scope="module")
+def read_views(tmp_path_factory):
+    """The views of a log read back: for each field that holds an id and
+    each of a few odd ids (needing quoting, holding NUL or non-ASCII text,
+    or longer than the writer's matrix takes), a session whose only odd
+    field is that one, and plain sessions."""
+    odd = ["b,c", 'd"e', "f\rg", "h\ni", "j\0k", "l%m", "\u00e9", "x" * 70]
+    records = []
+    for k, text in enumerate([*odd, "", "plain"]):
+        for field in ("session", "monitor", "tweet", "author", "shown"):
+            def pick(name, plain, text=text, field=field):
+                return text if field == name and text not in ("", "plain") else plain
+            records.append(session(pick("session", f"r{k}-{field}"), pick("monitor", "m"), [
+                entry(1, pick("author", "a"), tweet_id=pick("tweet", f"t{k}")),
+                entry(2, "a", displayed=pick("shown", "bb"), rt=True),
+                entry(3, "bb"),
+            ], group="left"))
+    path = tmp_path_factory.mktemp("odd") / "log.csv"
+    reference_write(records, path)
+    res = read_sessions(path)
+    assert (res.skipped, list(res.sessions)) == (0, records)
+    return res.sessions
+
+
+class TestWriterRandom:
+    """write_sessions against the reference writer on calls that mix views
+    of a simulated batch, views of a read batch and hand-built records."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_mixes(self, fleet_sessions, read_views, tmp_path_factory, data):
+        parts = [
+            *data.draw(st.lists(st.sampled_from(fleet_sessions), min_size=1, max_size=3)),
+            *data.draw(st.lists(st.sampled_from(read_views), min_size=1, max_size=3)),
+            *data.draw(st.lists(hand_built(), min_size=1, max_size=4)),
+        ]
+        sessions = data.draw(st.permutations(parts))
+        split = data.draw(st.none() | st.integers(0, len(sessions)))
+        root = tmp_path_factory.mktemp("write")
+        got, want = root / "got.csv", root / "want.csv"
+        if split is None:
+            assert write_sessions(sessions, got) == len(sessions)
+            reference_write(sessions, want)
+        else:
+            # the first sessions, then the others appended to the same file
+            write_sessions(sessions[:split], got)
+            assert write_sessions(sessions[split:], got, append=True) == len(sessions) - split
+            reference_write(sessions[:split], want)
+            reference_write(sessions[split:], want, append=True)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_long_session_ranks(self, tmp_path, monkeypatch):
+        # ranks of 1 to 5 digits through the byte matrix, across blocks
+        records = [
+            authors_session("long", "m1", [f"a{r % 7}" for r in range(10_001)], group="left"),
+            authors_session("short", "m1", ["a1"], group="right"),
+        ]
+        monkeypatch.setattr(store, "_csv_text", None)  # no session needs csv.writer
+        monkeypatch.setattr(store, "_WRITE_ROWS", 3)
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_sessions(records, got)
+        reference_write(records, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("text, ends", [("t1t2xx", [2, 4]), ("t1", [4, 2])])
+    def test_tweet_text_and_ends_disagree(self, tmp_path, text, ends):
+        # A session's tweet ids are sliced from its text by the ends of its
+        # rows: text past the last end is no tweet id and does not shift the
+        # next session's, an end past the text stops at it, and an end
+        # before the one above it gives "".
+        builder = BatchBuilder()
+        builder.add("s1", "m1", T0, GroupLabel.LEFT, [0, 1], [0, 1], [1, 2], [0, 0], text, ends)
+        builder.add("s2", "m1", T0, GroupLabel.LEFT, [1], [1], [1], [0], "t3", [2])
+        records = builder.build(("a", "b")).records()
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_sessions(records, got)
+        reference_write(records, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_str_subclass_ids(self, tmp_path):
+        # csv.writer writes the text of a str subclass, which its str()
+        # need not give
+        class Kind(str, Enum):
+            A = "a"
+
+        records = [session("s1", "m1", [entry(1, "a", tweet_id=Kind.A), entry(2, Kind.A)], group="left")]
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_sessions(records, got)
+        reference_write(records, want)
+        assert got.read_bytes() == want.read_bytes()
+
+    def test_simulated_log_needs_no_fallback(self, fleet_sessions, tmp_path, monkeypatch):
+        path = tmp_path / "log.csv"
+        write_sessions(fleet_sessions, path)
+        monkeypatch.setattr(store, "_csv_text", None)
+        write_sessions(fleet_sessions, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
 
 
 def reference_read(path, *, group=None, monitor_id=None, start=None, end=None, follows=None):
