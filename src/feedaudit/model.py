@@ -268,6 +268,17 @@ class SessionBatch:
         shift = starts - (np.cumsum(lengths) - lengths)
         return np.repeat(shift, lengths) + np.arange(int(lengths.sum()))
 
+    def part(self, start: int, stop: int) -> SessionBatch:
+        """Sessions ``start:stop`` as a batch of their own, with no ids:
+        its author codes are still this batch's."""
+        first = self.offsets[start]
+        rows = slice(first, self.offsets[stop])
+        return SessionBatch(
+            (), self.author[rows], self.shown[rows], self.rank[rows], self.flags[rows], self.tweet_ends[rows],
+            self.offsets[start : stop + 1] - first,
+            *(c[start:stop] for c in (self.tweet_text, self.session_id, self.monitor_id, self.captured_at, self.group)),
+        )
+
     def columns(self, index: int) -> tuple[list, list, list, list, list[int]]:
         """Session ``index`` as the five columns of
         :meth:`SessionRecord.columns`, as lists of plain values."""
@@ -354,6 +365,24 @@ class BatchBuilder:
         self._offsets.append(len(self._flags))
         for column, value in zip(self._sessions, (session_id, monitor_id, captured_at, group, tweet_text)):
             column.append(value)
+
+    def extend(self, batch: SessionBatch, codes: np.ndarray) -> None:
+        """Append every session of ``batch``; ``codes`` maps its author
+        codes to this builder's."""
+        base = len(self._flags)  # the rows before these
+        for buffer, values in (
+            (self._author, codes[batch.author]),
+            (self._shown, codes[batch.shown]),
+            (self._rank, batch.rank),
+            (self._flags, batch.flags),
+            (self._tweet_ends, batch.tweet_ends),
+            (self._offsets, batch.offsets[1:] + base),
+        ):
+            buffer.frombytes(values.tobytes())
+        for column, values in zip(
+            self._sessions, (batch.session_id, batch.monitor_id, batch.captured_at, batch.group, batch.tweet_text)
+        ):
+            column.extend(values)
 
     def build(self, ids: Sequence[AuthorId]) -> SessionBatch:
         """The batch of every session added, with author codes into ``ids``."""

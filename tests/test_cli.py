@@ -148,6 +148,35 @@ class TestIngest:
         assert rc == 3
         assert "data error" in err
 
+    def test_directory_input(self, tmp_path, capsys):
+        rc, _, err = run(capsys, "ingest", "--input", str(tmp_path))
+        assert rc == 3
+        assert f"session log is not a file: {tmp_path}" in err
+        assert "Traceback" not in err
+
+    def test_directory_roster(self, ws, tmp_path, capsys):
+        out = tmp_path / "out"
+        rc, _, err = run(capsys, "report", "--input", str(ws["log"]), "--authors", str(tmp_path), "--out-dir", str(out))
+        assert rc == 3
+        assert f"author roster is not a file: {tmp_path}" in err
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_unreadable_input(self, ws, monkeypatch, capsys):
+        def denied(self, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "open", denied)
+        rc, _, err = run(capsys, "ingest", "--input", str(ws["log"]))
+        assert rc == 3
+        assert f"cannot open session log {ws['log']}: Permission denied" in err
+
+    def test_dev_null_is_an_empty_log(self, capsys):
+        if not os.path.exists(os.devnull) or os.path.isfile(os.devnull):
+            pytest.skip("no character device for the null file")
+        rc, _, err = run(capsys, "ingest", "--input", os.devnull)
+        assert rc == 3
+        assert "session log is empty" in err
+
 
 class TestStats:
     def test_text_output(self, ws, capsys):

@@ -8,6 +8,12 @@ import gc
 import hashlib
 import io
 import json
+import os
+import pickle
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
 from datetime import datetime, timezone
 from enum import Enum
@@ -200,6 +206,13 @@ class TestReadMemory:
         one, two = transient
         assert two <= 1.25 * one
         assert one <= 8 * store._BLOCK_BYTES
+
+    def test_transient_bounded_by_block_size_split(self, tmp_path, split):
+        # The same bounds with each read split in two processes: the
+        # worker's half comes over in messages of at most _PART rows, each
+        # added to the batch as it arrives.
+        self.test_transient_bounded_by_block_size(tmp_path)
+        assert len(split) == 2
 
     def test_transient_bounded_with_a_long_id(self, tmp_path):
         # An author id of 50 KB in the middle of the 1-day log: 1.1 MiB
@@ -818,12 +831,13 @@ def ingest_log(tmp_path_factory):
     }
 
 
-def _mutated(log, case):
+def _mutated(log, case, group=None):
     """The log's lines with the defect of ``INGEST_CASES[case]`` in its
-    target session, the group's second session, so that the log has
-    sessions before and after it; the index of the target's first line
-    and its monitor."""
-    group, mutate, _ = INGEST_CASES[case]
+    target session, the second session of ``group`` (by default the
+    case's), so that the log has sessions before and after it; the index
+    of the target's first line and its monitor."""
+    case_group, mutate, _ = INGEST_CASES[case]
+    group = group or case_group
     lines = list(log["lines"])
     first = next(i for i, line in enumerate(lines) if line.split(",")[2] == group)
     target = lines[first].split(",")[0]
@@ -1106,6 +1120,362 @@ class TestBlockBoundaries:
         finally:
             store._BLOCK_BYTES = original
         assert got == _outcome(reference_read, path, **kw)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Reads split in two processes whatever the log's size and the usable
+    CPUs. Yields the pids of the workers forked; none may be left after."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(store, "_workers", lambda: 2)
+    monkeypatch.setattr(store, "_SPLIT_BYTES", 0)
+    yield forks
+    _no_child_left()
+
+
+def _author_ids(outcome):
+    return tuple(outcome[1][0]._batch.ids) if outcome[0] == "result" and outcome[1] else None
+
+
+def _split_read(path, **kw):
+    """The outcome of a read split in two processes, once it is checked to
+    be the serial read's, down to the order of the author ids."""
+    got = _outcome(read_sessions, path, **kw)
+    workers, store._workers = store._workers, lambda: 1
+    try:
+        want = _outcome(read_sessions, path, **kw)
+    finally:
+        store._workers = workers
+    assert got == want and _author_ids(got) == _author_ids(want), kw
+    return got
+
+
+def _cut_line(path):
+    """The physical line the split read's worker starts on, or None."""
+    data = path.read_bytes()
+    with path.open("rb") as fh:
+        cut = store._cut(fh, len(store._HEADER_LINE), len(data))
+    return None if cut is None else data.count(b"\n", 0, cut) + 1
+
+
+def _sessions_at(lines):
+    """The index of the first line of each session of a log's lines."""
+    return [k for k in range(1, len(lines)) if lines[k].split(",")[0] != lines[k - 1].split(",")[0]]
+
+
+class TestSplitRead:
+    """read_sessions split at a session boundary between two processes,
+    against the reference reader and the serial read. In the simulated
+    log of 16 sessions the worker starts on the 10th, neutral-000's
+    second, so the left group's sessions are the parent's and the right
+    group's the worker's."""
+
+    def test_cut_in_the_simulated_log(self, ingest_log, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(ingest_log["lines"]) + "\n")
+        assert _cut_line(path) - 1 == _sessions_at(ingest_log["lines"])[9]
+
+    @pytest.mark.parametrize("half", ["parent", "worker"])
+    @pytest.mark.parametrize("case", list(INGEST_CASES))
+    def test_ingest_cases(self, ingest_log, tmp_path, split, case, half):
+        group = INGEST_CASES[case][0]
+        lines, _, monitor = _mutated(ingest_log, case, "right" if half == "worker" and group == "left" else None)
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+        filters = [{}, {"group": "neutral"}, {"group": group}, {"monitor_id": monitor}]
+        filters += [{"start": ingest_log["day2"]}, {"end": ingest_log["day2"]}]
+        for follows in (None, ingest_log["follows"]):
+            for kw in filters:
+                kw = {"follows": follows, **kw}
+                assert _split_read(path, **kw) == _outcome(reference_read, path, **kw), kw
+
+    @pytest.mark.parametrize("case", list(EDGE_LOGS))
+    def test_edge_logs(self, ingest_log, tmp_path, monkeypatch, split, case):
+        build, block_bytes = EDGE_LOGS[case]
+        path = tmp_path / "log.csv"
+        path.write_bytes(build(list(ingest_log["lines"])))
+        monkeypatch.setattr(store, "_BLOCK_BYTES", block_bytes)
+        for kw in ({}, {"follows": ingest_log["follows"]}, {"group": "left"}):
+            assert _split_read(path, **kw) == _outcome(reference_read, path, **kw), kw
+
+    def test_filters_across_the_cut(self, ingest_log, tmp_path, split):
+        # each filter takes sessions on both sides of the cut
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(ingest_log["lines"]) + "\n")
+        follows = ingest_log["follows"]
+        for kw in (
+            {"group": "neutral"},
+            {"monitor_id": "neutral-000"},
+            {"start": ingest_log["day2"]},
+            {"end": ingest_log["day2"]},
+            {"follows": follows},
+            {"group": "neutral", "follows": follows, "end": ingest_log["day2"]},
+        ):
+            res = _split_read(path, **kw)
+            assert res == _outcome(reference_read, path, **kw), kw
+            ids = [s.session_id for s in res[1]]
+            assert ids[0] < "neutral-000-d001" <= ids[-1], kw
+        assert len(split) == 6
+
+    @pytest.mark.parametrize("defect", ["blank line", "long session id"])
+    def test_no_cut_in_lines_the_tokenizer_does_not_take(self, ingest_log, tmp_path, split, defect):
+        # the window the cut is found in holds the whole second half of
+        # the log, and a line there that the block tokenizer does not
+        # take (a blank line, a session id over _FIELD_BYTES) is no
+        # session start: the read stays in one process
+        lines = list(ingest_log["lines"])
+        starts = _sessions_at(lines)
+        if defect == "blank line":
+            lines.insert(starts[13], "")
+        else:
+            for i in range(starts[13], starts[14]):
+                _set(lines, i, 0, "s" * (store._FIELD_BYTES + 1))
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert _cut_line(path) is None
+        for kw in ({}, {"group": "right"}):
+            assert _split_read(path, **kw) == _outcome(reference_read, path, **kw), kw
+        assert not split
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_cut_next_to_an_end(self, ingest_log, tmp_path, split, where):
+        # a 300-row session holds the middle of the log, so the parent
+        # reads that session alone, or the worker the one after it
+        lines = ingest_log["lines"]
+        long_rows = [
+            f"long,m9,left,2024-10-02T00:00:00Z,{r},t{r},a{r % 7},a{r % 5},false,false,false,false"
+            for r in range(1, 301)
+        ]
+        short = lines[1:13] if where == "first" else lines[13:25]
+        rows = [*long_rows, *short] if where == "first" else [*lines[1:13], *long_rows, *short]
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join([lines[0], *rows]) + "\n")
+        assert _cut_line(path) == len(rows) - 12 + 2
+        for kw in ({}, {"follows": ingest_log["follows"]}, {"group": "left"}):
+            assert _split_read(path, **kw) == _outcome(reference_read, path, **kw), kw
+        assert split
+
+    @pytest.mark.parametrize(
+        "halves", [("parent",), ("worker",), ("parent", "worker")], ids=["parent", "worker", "both"]
+    )
+    def test_parse_error(self, ingest_log, tmp_path, split, halves):
+        # a bad boolean in the second session of the left group (the
+        # parent's), of the right group (the worker's) or both: the
+        # error is the first in the file
+        lines = list(ingest_log["lines"])
+        starts = _sessions_at(lines)
+        for half in halves:
+            _set(lines, starts[5 if half == "parent" else 13] + 3, 9, "maybe")
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+        got = _split_read(path)
+        assert got == _outcome(reference_read, path)
+        assert got[:2] == ("error", "ParseError") and f":{starts[5 if 'parent' in halves else 13] + 4}]" in got[2]
+        assert split
+
+    @pytest.mark.parametrize("half", ["parent", "worker"])
+    def test_quoted_field_in_one_half(self, ingest_log, tmp_path, monkeypatch, split, half):
+        # the window the cut is found in is 2000 bytes: the quote, in the
+        # first or the last session, is outside it
+        lines = list(ingest_log["lines"])
+        _set(lines, 3 if half == "parent" else len(lines) - 3, 5, '"t,x"')
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+        monkeypatch.setattr(store, "_BLOCK_BYTES", 2000)
+        assert _cut_line(path) is not None
+        res = _split_read(path)
+        assert res == _outcome(reference_read, path)
+        assert res[0] == "result" and (res[2], len(res[1])) == (16, 16)
+        assert split
+
+    def test_duplicate_session_id_across_the_cut(self, ingest_log, tmp_path, split):
+        lines = list(ingest_log["lines"])
+        lines += lines[1:13]  # the first session again, after the last
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+        res = _split_read(path)
+        assert res == _outcome(reference_read, path)
+        assert res[5] == {lines[1].split(",")[0]: ("duplicate session id",)}
+        assert split
+
+    def test_inconsistent_header_in_the_worker_half(self, ingest_log, tmp_path, split):
+        lines = list(ingest_log["lines"])
+        row = _sessions_at(lines)[13] + 4
+        _set(lines, row, 1, "right-999")
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+        res = _split_read(path)
+        assert res == _outcome(reference_read, path)
+        assert list(res[5].values()) == [(f"line {row + 1}: inconsistent session header fields",)]
+        assert split
+
+    @pytest.mark.parametrize("limit", [0, 40, 400, 4000, 40_000])
+    def test_worker_cut_short(self, ingest_log, tmp_path, monkeypatch, split, limit):
+        # the worker dies after sending ``limit`` bytes: the log is read
+        # again from its first line, as when a block is not plain
+        work = store._Ingest.work
+
+        class CutShort:
+            def __init__(self, out):
+                self.out, self.left = out, limit
+
+            def write(self, data):
+                self.out.write(data[: self.left])
+                self.left -= len(data)
+                if self.left < 0:
+                    raise OSError("cut short")
+
+        monkeypatch.setattr(store._Ingest, "work", lambda self, cut, out: work(self, cut, CutShort(out)))
+        monkeypatch.setattr(store, "_PART", 50)
+        lines = list(ingest_log["lines"])
+        _set(lines, _sessions_at(lines)[13] + 4, 1, "right-999")
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+        for kw in ({}, {"follows": ingest_log["follows"]}):
+            assert _split_read(path, **kw) == _outcome(reference_read, path, **kw), kw
+        assert split
+
+    @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
+    def test_parent_raises_after_the_fork(self, ingest_log, tmp_path, monkeypatch, split, error):
+        def fail(self, batch, codes):
+            raise error("merge failed")
+
+        monkeypatch.setattr(store.BatchBuilder, "extend", fail)
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(ingest_log["lines"]) + "\n")
+        with pytest.raises(error, match="merge failed"):
+            read_sessions(path)
+        assert split
+        _no_child_left()
+
+    @pytest.mark.parametrize("where", ["after it sent everything", "when the parent's half is not plain"])
+    def test_worker_killed(self, ingest_log, tmp_path, monkeypatch, split, where):
+        # a worker that would go on for a minute: the read does not wait
+        work = store._Ingest.work
+
+        def slow(self, cut, out):
+            if where == "after it sent everything":
+                work(self, cut, out)
+                out.flush()
+            time.sleep(60)
+
+        monkeypatch.setattr(store._Ingest, "work", slow)
+        lines = list(ingest_log["lines"])
+        if where != "after it sent everything":
+            _set(lines, 3, 5, '"t,x"')
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(lines) + "\n")
+        started = time.monotonic()
+        assert _split_read(path) == _outcome(reference_read, path)
+        assert time.monotonic() - started < 30
+        assert split
+
+    def test_messages_of_bounded_size(self, tmp_path, monkeypatch, split):
+        # the worker's half of the 1-day log (20,800 rows in sessions of 500
+        # to 700) comes over in messages of at most 1,000 rows or items
+        world = build_world(seed=7)
+        path = tmp_path / "log.csv"
+        write_sessions(run_fleet(world, FleetConfig(monitors_per_group=2, duration_days=1), RankerParams(seed=7)), path)
+        monkeypatch.setattr(store, "_PART", 1000)
+        lists, parts = [], []
+        load = pickle.load
+
+        def measured(fh):
+            message = load(fh)
+            if isinstance(message, list):
+                lists.append(len(message))
+            elif isinstance(message, store.SessionBatch):
+                parts.append((len(message), len(message.flags)))
+            return message
+
+        monkeypatch.setattr(pickle, "load", measured)
+        res = _split_read(path)
+        assert res == _outcome(reference_read, path)
+        assert max(lists) <= 1000 and max(rows for _, rows in parts) <= 1000
+        assert len(parts) >= 8 and sum(rows for _, rows in parts) == 20_800 - _cut_line(path) + 2
+
+    def test_unflushed_output_written_once(self, ingest_log, tmp_path):
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(ingest_log["lines"]) + "\n")
+        script = (
+            "import os, sys, time\n"
+            "from feedaudit import store\n"
+            "store._workers, store._SPLIT_BYTES = (lambda: 2), 0\n"
+            "fork, forks = os.fork, []\n"
+            "os.fork = lambda: forks.append(1) or fork()\n"
+            "merge = store._Ingest.merge\n"
+            "def waited(self, results):\n"
+            "    merged = merge(self, results)\n"
+            "    time.sleep(0.5)  # the worker has left by the time it is killed\n"
+            "    return merged\n"
+            "store._Ingest.merge = waited\n"
+            "assert type(sys.stdout.buffer).__name__ == 'BufferedWriter'\n"
+            "sys.stdout.write('before the read;')\n"
+            f"store.read_sessions({str(path)!r})\n"
+            "sys.stdout.write(f'forks {len(forks)}')\n"
+        )
+        # block-buffered standard output, so that the text is still in the
+        # buffer when the worker is forked
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = str(store.Path(store.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert out.stdout == "before the read;forks 1"
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no CPU affinity")
+    def test_one_process_when_forking_is_unsafe(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert store._workers() == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert store._workers() == 2
+        done = threading.Event()
+        thread = threading.Thread(target=done.wait)
+        thread.start()
+        try:
+            assert store._workers() == 1
+        finally:
+            done.set()
+            thread.join(5)
+        assert not thread.is_alive()
+        monkeypatch.delattr(os, "fork")
+        assert store._workers() == 1
+
+    def test_small_or_special_file_read_in_one_process(self, ingest_log, tmp_path, monkeypatch, split):
+        path = tmp_path / "log.csv"
+        path.write_text("\n".join(ingest_log["lines"]) + "\n")
+        monkeypatch.setattr(store, "_SPLIT_BYTES", path.stat().st_size + 1)
+        assert _split_read(path) == _outcome(reference_read, path)
+        with pytest.raises(DataError, match="session log is empty"):
+            read_sessions("/dev/null")
+        assert not split
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_plain_logs(self, tmp_path_factory, data):
+        text, block_bytes, kw = data.draw(plain_logs())
+        path = tmp_path_factory.mktemp("plain") / "log.csv"
+        path.write_text(text)
+        saved = store._BLOCK_BYTES, store._SPLIT_BYTES, store._workers
+        store._BLOCK_BYTES, store._SPLIT_BYTES, store._workers = block_bytes, 0, lambda: 2
+        try:
+            got = _split_read(path, **kw)
+        finally:
+            store._BLOCK_BYTES, store._SPLIT_BYTES, store._workers = saved
+        assert got == _outcome(reference_read, path, **kw)
+        _no_child_left()
 
 
 class TestDatasetStats:
