@@ -137,7 +137,13 @@ class GiniReport:
     alpha: float
 
     def medians(self) -> dict[str, float]:
-        return {g: float(np.median(v)) for g, v in self.per_group.items()}
+        # np.median's value, taken by hand: on numpy 2, np.median
+        # imports numpy.ma on first use.
+        out = {}
+        for g, v in self.per_group.items():
+            s, mid = sorted(v), len(v) // 2
+            out[g] = float(s[mid] if len(s) % 2 else (s[mid - 1] + s[mid]) / 2)
+        return out
 
 
 def _group_sort_key(group: object) -> tuple[int, str]:

@@ -81,7 +81,7 @@ def _row_weights(model: DecayModel, ranks: np.ndarray, lengths: np.ndarray) -> n
     order."""
     row_lengths = np.repeat(lengths, lengths)
     weights = np.empty(len(ranks))
-    for length in np.unique(lengths[lengths > 0]).tolist():
+    for length in sorted(set(lengths[lengths > 0].tolist())):
         at = row_lengths == length
         r = ranks[at]
         inside = r <= length

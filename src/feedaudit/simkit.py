@@ -33,6 +33,15 @@ the tweet ids are the session id joined onto a cached per-rank suffix.
 No per-row Python object is built; the returned records are views of
 the batch. Sessions are sampled in their canonical order, so the
 columns need no reordering.
+
+A session's three weighted draws (out-of-network candidates, follows
+and retweet originals) read cumulative probability tables that each
+monitor's sampler builds once. A draw from a table is the computation
+``Generator.choice(a, size=n, replace=True, p=p)`` makes, minus the
+checks of ``p`` and the cumulative sum that ``choice`` repeats on every
+call, so every random stream, and every simulated log, is the one
+``choice`` gives. Weights that leave the float range fail those checks
+once, as a :class:`~feedaudit.errors.ConfigError`.
 """
 
 from __future__ import annotations
@@ -63,6 +72,8 @@ from .model import (
 )
 
 _DEFAULT_START = datetime(2024, 10, 2, tzinfo=timezone.utc)
+# The tolerance Generator.choice allows on the sum of float64 probabilities.
+_P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -441,7 +452,19 @@ def _tweet_suffixes(length: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarra
 
 
 class _MonitorSampler:
-    """Precomputed sampling state for one monitor under fixed params."""
+    """Precomputed sampling state for one monitor under fixed params.
+
+    Each of the session's three weighted draws (out-of-network
+    candidates, follows, retweet originals) has a table built here once:
+    the cumulative sum of its probabilities ``p``, divided by its last
+    element. ``Generator.choice(a, size=n, replace=True, p=p)`` builds
+    that same table on every call and returns
+    ``a[table.searchsorted(rng.random(n), side="right")]``, so drawing
+    from the kept table takes the same numbers from ``rng`` and gives
+    the same indices, without the per-call checks of ``p`` and the
+    O(population) cumulative sum. Those checks run here instead, once
+    per table.
+    """
 
     def __init__(self, world: SimWorld, monitor: MonitorAccount, params: RankerParams):
         self.world = world
@@ -472,18 +495,36 @@ class _MonitorSampler:
         gamma = params.popularity_exponent
         kappa = params.alignment_strength
         align = 1.0 - np.abs(viewer_lean - lean)
-        weights = pop**gamma * np.exp(kappa * align)
-        oon_w = weights[self.cand_idx]
-        self.oon_p = oon_w / oon_w.sum()
+        # An overflowing weight is reported by _table as a config error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            weights = pop**gamma * np.exp(kappa * align)
+        self.oon_table = self._table(weights[self.cand_idx])
         # Ranking score: log of the same relevance weight.
         self.score = gamma * np.log(pop) + kappa * align
 
         if self.has_follows:
-            in_w = world.post_rate_array[follow_idx]
-            self.in_p = in_w / in_w.sum()
+            self.in_table = self._table(world.post_rate_array[follow_idx])
         self.mix = params.mix_for(monitor.group)
-        rt_w = pop**gamma
-        self.retweet_p = rt_w / rt_w.sum()
+        self.retweet_table = self._table(pop**gamma)
+
+    def _table(self, weights: np.ndarray) -> np.ndarray:
+        """The cumulative table of ``p = weights / weights.sum()``, after
+        the checks ``Generator.choice`` makes on ``p``: finite,
+        non-negative, and summing to 1 within sqrt(eps)."""
+        with np.errstate(invalid="ignore"):
+            p = weights / weights.sum()
+        if not (np.isfinite(p).all() and (p >= 0).all() and abs(p.sum() - 1.0) <= _P_ATOL):
+            params = self.params
+            raise ConfigError(
+                f"monitor {self.monitor.id}: sampling weights are not finite probabilities "
+                f"(alignment_strength={params.alignment_strength!r}, "
+                f"popularity_exponent={params.popularity_exponent!r}); "
+                "exp(alignment_strength * align) or popularity ** popularity_exponent "
+                "overflows or underflows float64"
+            )
+        table = p.cumsum()
+        table /= table[-1]
+        return table
 
     def session(
         self,
@@ -505,11 +546,9 @@ class _MonitorSampler:
 
         displayed = np.empty(length, dtype=np.intp)
         in_network = np.zeros(length, dtype=bool)
-        displayed[:n_oon] = rng.choice(self.cand_idx, size=n_oon, replace=True, p=self.oon_p)
+        displayed[:n_oon] = self.cand_idx[self.oon_table.searchsorted(rng.random(n_oon), side="right")]
         if n_in:
-            displayed[n_oon:] = rng.choice(
-                self.follow_idx, size=n_in, replace=True, p=self.in_p
-            )
+            displayed[n_oon:] = self.follow_idx[self.in_table.searchsorted(rng.random(n_in), side="right")]
             in_network[n_oon:] = True
 
         scores = self.score[displayed]
@@ -527,9 +566,7 @@ class _MonitorSampler:
         original = displayed.copy()
         n_rt = int(is_retweet.sum())
         if n_rt:
-            original[is_retweet] = rng.choice(
-                self.world.n_authors, size=n_rt, replace=True, p=self.retweet_p
-            )
+            original[is_retweet] = self.retweet_table.searchsorted(rng.random(n_rt), side="right")
 
         flags = (
             is_retweet * FLAG_RETWEET

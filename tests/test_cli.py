@@ -281,6 +281,19 @@ class TestConfigHandling:
         assert f"{name}.{next(iter(values))}" in err
         assert not (out / "sessions.csv").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "pipeline"])
+    def test_overflowing_ranker_weight(self, tmp_path, capsys, command):
+        # exp(kappa * align) overflows float64 for kappa past about 710.
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CONFIG, "ranker": {"alignment_strength": 1e6}}))
+        out = tmp_path / "out"
+        flag = "--out" if command == "simulate" else "--out-dir"
+        rc, _, err = run(capsys, command, "--config", str(cfg), flag, str(out))
+        assert rc == 2, err
+        assert err.startswith("config error: monitor balanced-000: ")
+        assert "alignment_strength=1000000.0" in err and "popularity_exponent=0.8" in err
+        assert not out.exists() or list(out.iterdir()) == []
+
 
 class TestGini:
     def test_happy_path(self, ws, tmp_path, capsys):
@@ -602,6 +615,27 @@ class TestPipeline:
         assert rc == 0
         for name in PIPELINE_ARTIFACTS - {"sessions.csv", "authors.csv", "manifest.json"}:
             assert digest(piped / name) == digest(rep / name), name
+
+    def test_report_does_not_import_numpy_ma(self, ws, tmp_path):
+        # numpy.ma takes about 14 ms to import. numpy 1.x imports it with
+        # numpy itself; on numpy 2 only a call such as np.median does.
+        code = (
+            "import sys, numpy\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "from feedaudit.cli import main\n"
+            "assert main(sys.argv[1:]) == 0\n"
+            "print(before, 'numpy.ma' in sys.modules)\n"
+        )
+        src = str(Path(feedaudit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.run(
+            [sys.executable, "-c", code, "report", "--input", str(ws["log"]),
+             "--authors", str(ws["authors"]), "--out-dir", str(tmp_path / "rep")],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        before, after = child.stdout.split()[-2:]
+        assert after == "False" or before == "True"
 
 
 class TestBrokenPipe:

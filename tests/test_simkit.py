@@ -25,6 +25,8 @@ from feedaudit import (
     rank_timeline,
     run_fleet,
 )
+from feedaudit import simkit
+from feedaudit.model import FLAG_IN_NETWORK, FLAG_PROMOTED, FLAG_QUOTE, FLAG_RETWEET, batch_of
 from feedaudit.simkit import SimWorld
 
 from conftest import T0
@@ -363,6 +365,111 @@ class TestRunFleet:
         world = build_world(n_authors=50, seed=0, preset_pools=False)
         with pytest.raises(ConfigError):
             make_monitors(world, small_fleet(), seed=0)
+
+
+class ReferenceSampler:
+    """A monitor's sessions drawn the plain way: each weighted draw is a
+    ``Generator.choice(a, size=n, replace=True, p=p)`` call, with ``p``
+    the normalised weights. ``run_fleet`` must give the same batch."""
+
+    def __init__(self, world, monitor, params):
+        self.world, self.monitor, self.params = world, monitor, params
+        lean, pop = world.lean_array, world.popularity_array
+        self.follow_idx = np.array(sorted(world.index[a] for a in monitor.follows), dtype=np.intp)
+        viewer = lean[self.follow_idx].mean() if len(self.follow_idx) else params.default_lean
+        self.cand_idx = np.setdiff1d(np.arange(world.n_authors), self.follow_idx)
+        gamma, kappa = params.popularity_exponent, params.alignment_strength
+        align = 1.0 - np.abs(viewer - lean)
+        oon_w = (pop**gamma * np.exp(kappa * align))[self.cand_idx]
+        self.oon_p = oon_w / oon_w.sum()
+        self.score = gamma * np.log(pop) + kappa * align
+        if len(self.follow_idx):
+            in_w = world.post_rate_array[self.follow_idx]
+            self.in_p = in_w / in_w.sum()
+        rt_w = pop**gamma
+        self.retweet_p = rt_w / rt_w.sum()
+
+    def session(self, batch, rng, length, session_id, monitor_id, group, captured_at):
+        params = self.params
+        n_oon = length
+        if len(self.follow_idx):
+            n_oon = int(rng.binomial(length, params.mix_for(self.monitor.group)))
+        displayed = rng.choice(self.cand_idx, size=n_oon, replace=True, p=self.oon_p)
+        in_network = np.arange(length) >= n_oon
+        if n_oon < length:
+            drawn = rng.choice(self.follow_idx, size=length - n_oon, replace=True, p=self.in_p)
+            displayed = np.concatenate([displayed, drawn])
+        scores = self.score[displayed]
+        if params.rank_jitter > 0:
+            scores = scores + rng.gumbel(0.0, params.rank_jitter, size=length)
+        order = np.argsort(-scores, kind="stable")
+        displayed, in_network = displayed[order], in_network[order]
+        cat = rng.random(length)
+        is_retweet = cat < params.retweet_rate
+        is_quote = ~is_retweet & (cat < params.retweet_rate + params.quote_rate)
+        is_promoted = rng.random(length) < params.promoted_rate
+        original = displayed.copy()
+        if is_retweet.any():
+            original[is_retweet] = rng.choice(
+                self.world.n_authors, size=int(is_retweet.sum()), replace=True, p=self.retweet_p
+            )
+        flags = (
+            is_retweet * FLAG_RETWEET | is_quote * FLAG_QUOTE
+            | is_promoted * FLAG_PROMOTED | in_network * FLAG_IN_NETWORK
+        )
+        tweet_ids = [f"{session_id}:{r:04d}" for r in range(1, length + 1)]
+        batch.add(
+            session_id, monitor_id, captured_at, group, original, displayed, np.arange(1, length + 1),
+            flags, "".join(tweet_ids), np.cumsum([len(t) for t in tweet_ids]),
+        )
+
+
+_BATCH_COLUMNS = (
+    "ids", "author", "shown", "rank", "flags", "tweet_ends", "offsets",
+    "tweet_text", "session_id", "monitor_id", "captured_at", "group",
+)
+
+
+def _one_follow(world, fleet):
+    return [MonitorAccount("left-solo", GroupLabel.LEFT, frozenset({world.ids[3]}), fleet.start)]
+
+
+class TestSamplerDifferential:
+    """``run_fleet`` against :class:`ReferenceSampler`, column by column.
+    numpy is not pinned, so this, rather than a fixed digest, guards
+    that the per-monitor tables draw the same streams as
+    ``Generator.choice``."""
+
+    @pytest.mark.parametrize(
+        "world_kw, fleet_kw, params_kw, monitors",
+        [
+            pytest.param({}, {"monitors_per_group": 2, "duration_days": 2}, {}, None, id="default-world"),
+            pytest.param(
+                {"n_authors": 5000}, {"monitors_per_group": 3, "duration_days": 1, "session_length": 100},
+                {}, None, id="5000-authors",
+            ),
+            pytest.param({}, {"duration_days": 2}, {"oon_mix": 0.0}, None, id="oon-mix-0"),
+            pytest.param({}, {"duration_days": 2}, {"oon_mix": 1.0}, None, id="oon-mix-1"),
+            pytest.param({}, {"duration_days": 2}, {}, _one_follow, id="one-follow"),
+            pytest.param({}, {"duration_days": 3, "neutral_churn_days": 1}, {}, None, id="neutral-churn"),
+            pytest.param({}, {"duration_days": 2}, {"rank_jitter": 0.0}, None, id="rank-jitter-0"),
+        ],
+    )
+    def test_matches_choice(self, monkeypatch, world_kw, fleet_kw, params_kw, monitors):
+        world = build_world(seed=11, **world_kw)
+        fleet = small_fleet(**fleet_kw)
+        params = RankerParams(seed=11, **params_kw)
+        fleet_monitors = monitors(world, fleet) if monitors else None
+        got, _ = batch_of(run_fleet(world, fleet, params, fleet_monitors))
+        monkeypatch.setattr(simkit, "_MonitorSampler", ReferenceSampler)
+        want, _ = batch_of(run_fleet(world, fleet, params, fleet_monitors))
+        assert len(got) == len(want) > 0
+        for name in _BATCH_COLUMNS:
+            a, b = getattr(got, name), getattr(want, name)
+            if isinstance(a, np.ndarray):
+                assert a.dtype == b.dtype and np.array_equal(a, b), name
+            else:
+                assert a == b, name
 
 
 class TestRealizedComposition:
