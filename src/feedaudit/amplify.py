@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -20,7 +21,7 @@ import numpy as np
 from .errors import AnalysisError, ConfigError, DataError
 from .metrics import ExposureTable, author_index, group_exposures
 from .model import AuthorId, LEAN_UNKNOWN
-from .mwu import MODE_AUTO, mann_whitney_u, mann_whitney_u_many
+from .mwu import MODE_AUTO, _mann_whitney_arrays, mann_whitney_u
 
 
 def amplification_ratio(
@@ -92,34 +93,34 @@ def build_amplification_report(
     id_rank = np.empty(len(authors), dtype=np.intp)
     id_rank[sorted(range(len(authors)), key=authors.__getitem__)] = np.arange(len(authors))
     candidates = _ranked(pooled, id_rank)[:top]
-    tests = mann_whitney_u_many(part[candidates], base[candidates], mode=mode)
-    candidate_ids = [authors[c] for c in candidates.tolist()]
-    p_means = partisan_means[candidates]
-    b_means = baseline_means[candidates]
-    ratios = amplification_ratio(p_means, b_means)
+    statistics, pvalues, _ = _mann_whitney_arrays(part[candidates], base[candidates], mode)
+    ratios = amplification_ratio(partisan_means[candidates], baseline_means[candidates])
+    order = _ranked(ratios, id_rank[candidates])
+    ranked = candidates[order]
+    author_ids = list(map(authors.__getitem__, ranked.tolist()))
     # An author a group never saw gets the float 0.0 as that group's
     # mean, a seen one its numpy mean: the scalar types show in a row's
-    # repr, which callers digest.
-    p_seen = partisan_seen[candidates].tolist()
-    b_seen = baseline_seen[candidates].tolist()
-    leans = leans or {}
-    rows = []
-    for i in _ranked(ratios, id_rank[candidates]).tolist():
-        author = candidate_ids[i]
-        res = tests[i]
-        rows.append(
-            AmplificationRow(
-                author_id=author,
-                lean_label=leans.get(author, LEAN_UNKNOWN),
-                partisan_mean=p_means[i] if p_seen[i] else 0.0,
-                baseline_mean=b_means[i] if b_seen[i] else 0.0,
-                ratio_pct=ratios[i],
-                statistic=res.statistic,
-                pvalue=res.pvalue,
-                significant=res.pvalue < alpha,
-            )
+    # repr, which callers digest. Iterating an array yields its numpy
+    # scalars.
+    p_means = list(partisan_means[ranked])
+    b_means = list(baseline_means[ranked])
+    for means, seen in ((p_means, partisan_seen[ranked]), (b_means, baseline_seen[ranked])):
+        for i in np.flatnonzero(~seen).tolist():
+            means[i] = 0.0
+    pvalues = pvalues[order]
+    return tuple(
+        map(
+            AmplificationRow,
+            author_ids,
+            map((leans or {}).get, author_ids, repeat(LEAN_UNKNOWN)),
+            p_means,
+            b_means,
+            list(ratios[order]),
+            statistics[order].tolist(),
+            pvalues.tolist(),
+            (pvalues < alpha).tolist(),
         )
-    return tuple(rows)
+    )
 
 
 @dataclass(frozen=True)

@@ -292,11 +292,19 @@ _AMPLIFY_COLUMNS = (
 
 
 def _emit(
-    args: argparse.Namespace, rows: Sequence[Mapping[str, Any]], columns: Sequence[str]
+    args: argparse.Namespace,
+    rows: Sequence[Mapping[str, Any]],
+    columns: Sequence[str],
+    lines: Sequence[str] = (),
 ) -> None:
-    """Write ``rows`` to --out in --format, when --out is given."""
+    """Write ``rows`` to --out in --format, when --out is given, then print
+    the summary ``lines`` and, last, where the rows went. The file comes
+    first, so that it is whole even when standard output closes early."""
     if args.out:
         emit_report(rows, args.out, fmt=args.format, columns=columns)
+    for line in lines:
+        print(line)
+    if args.out:
         print(f"wrote {args.out}")
 
 
@@ -395,16 +403,15 @@ def cmd_stats(args: argparse.Namespace) -> int:
     if not res.sessions:
         raise DataError("no valid sessions after filtering")
     rows = [dataclasses.asdict(g) for g in dataset_stats(res.sessions).groups]
-    _emit(args, rows, _STATS_COLUMNS)
-    if not args.out:
-        for r in rows:
-            print(
-                f"{r['group']:<9} monitors={r['monitors']:<3} sessions={r['sessions']:<5} "
-                f"oon={100 * r['oon_mean']:.2f}%({100 * r['oon_std']:.2f}) "
-                f"rt={100 * r['retweet_mean']:.2f}%({100 * r['retweet_std']:.2f}) "
-                f"quote={100 * r['quote_mean']:.2f}%({100 * r['quote_std']:.2f}) "
-                f"promoted={100 * r['promoted_mean']:.2f}%({100 * r['promoted_std']:.2f})"
-            )
+    lines = [] if args.out else [
+        f"{r['group']:<9} monitors={r['monitors']:<3} sessions={r['sessions']:<5} "
+        f"oon={100 * r['oon_mean']:.2f}%({100 * r['oon_std']:.2f}) "
+        f"rt={100 * r['retweet_mean']:.2f}%({100 * r['retweet_std']:.2f}) "
+        f"quote={100 * r['quote_mean']:.2f}%({100 * r['quote_std']:.2f}) "
+        f"promoted={100 * r['promoted_mean']:.2f}%({100 * r['promoted_std']:.2f})"
+        for r in rows
+    ]
+    _emit(args, rows, _STATS_COLUMNS, lines)
     return 0
 
 
@@ -445,17 +452,17 @@ def cmd_gini(args: argparse.Namespace) -> int:
     alpha = args.alpha if args.alpha is not None else analysis["alpha_gini"]
     report = group_gini_distribution(tables, alpha=alpha, mode=analysis["mw_mode"])
     medians = report.medians()
-    for group, values in report.per_group.items():
-        print(
-            f"{group:<9} median={medians[group]:.4f} "
-            f"min={min(values):.4f} max={max(values):.4f} n={len(values)}"
-        )
-    for c in report.comparisons:
-        flag = "*" if c.significant else " "
-        print(
-            f"{c.group_a} vs {c.group_b}: U={c.statistic:g} p={c.pvalue:.4g}{flag} ({c.method})"
-        )
-    _emit(args, _gini_rows(tables, report), _GINI_COLUMNS)
+    lines = [
+        f"{group:<9} median={medians[group]:.4f} "
+        f"min={min(values):.4f} max={max(values):.4f} n={len(values)}"
+        for group, values in report.per_group.items()
+    ]
+    lines += [
+        f"{c.group_a} vs {c.group_b}: U={c.statistic:g} "
+        f"p={c.pvalue:.4g}{'*' if c.significant else ' '} ({c.method})"
+        for c in report.comparisons
+    ]
+    _emit(args, _gini_rows(tables, report), _GINI_COLUMNS, lines)
     return 0
 
 
@@ -513,12 +520,13 @@ def cmd_topk(args: argparse.Namespace) -> int:
     labels = _roster_labels(args.authors)
     group = GroupLabel(args.target_group)
     rows = _topk_rows(tables, group, args.k, labels)
-    for r in rows:
-        print(f"{r['author_id']:<12} {r['mean_exposure']:.4f}  {r['lean_label']}")
+    lines = [f"{r['author_id']:<12} {r['mean_exposure']:.4f}  {r['lean_label']}" for r in rows]
     if labels:
-        for side, share in _shares(tables[group], args.k, labels).items():
-            print(f"top-{args.k} exposure share, {side}-leaning authors: {share:.4f}")
-    _emit(args, rows, _TOPK_COLUMNS)
+        lines += [
+            f"top-{args.k} exposure share, {side}-leaning authors: {share:.4f}"
+            for side, share in _shares(tables[group], args.k, labels).items()
+        ]
+    _emit(args, rows, _TOPK_COLUMNS, lines)
     return 0
 
 
@@ -554,17 +562,16 @@ def cmd_amplify(args: argparse.Namespace) -> int:
     )
     n_sig = sum(r.significant for r in rows)
     n_pos = sum(r.ratio_pct > 0 for r in rows)
-    print(
+    lines = [
         f"{partisan.value} vs {baseline.value}: {len(rows)} authors, "
         f"{n_pos} amplified, {n_sig} significant at alpha={alpha:g}"
-    )
-    for r in rows[:10]:
-        flag = "*" if r.significant else " "
-        print(
-            f"  {r.author_id:<12} {r.ratio_pct:+8.2f}%{flag} "
-            f"(partisan {r.partisan_mean:.3f}, baseline {r.baseline_mean:.3f}, p={r.pvalue:.3g})"
-        )
-    _emit(args, _amplify_rows(rows), _AMPLIFY_COLUMNS)
+    ]
+    lines += [
+        f"  {r.author_id:<12} {r.ratio_pct:+8.2f}%{'*' if r.significant else ' '} "
+        f"(partisan {r.partisan_mean:.3f}, baseline {r.baseline_mean:.3f}, p={r.pvalue:.3g})"
+        for r in rows[:10]
+    ]
+    _emit(args, _amplify_rows(rows), _AMPLIFY_COLUMNS, lines)
     return 0
 
 

@@ -51,23 +51,19 @@ def gini(values: Iterable[float]) -> float:
 
 @dataclass(frozen=True)
 class LorenzCurve:
-    """Lorenz curve points (population share, cumulative exposure share).
+    """Lorenz curve as its two axes: population shares ``x`` and
+    cumulative exposure shares ``y``.
 
     Starts at (0, 0), ends at (1, 1), convex and non-decreasing.
     """
 
-    points: tuple[tuple[float, float], ...]
+    x: tuple[float, ...]
+    y: tuple[float, ...]
 
     @property
-    def x(self) -> tuple[float, ...]:
-        return self._axes()[0]
-
-    @property
-    def y(self) -> tuple[float, ...]:
-        return self._axes()[1]
-
-    def _axes(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(zip(*self.points)) or ((), ())
+    def points(self) -> tuple[tuple[float, float], ...]:
+        """The curve as (population share, exposure share) pairs."""
+        return tuple(zip(self.x, self.y))
 
 
 def lorenz(values: Iterable[float]) -> LorenzCurve:
@@ -76,7 +72,7 @@ def lorenz(values: Iterable[float]) -> LorenzCurve:
     n = len(x)
     cum = np.cumsum(x) / x.sum()
     shares = np.arange(1, n + 1) / n
-    return LorenzCurve(points=((0.0, 0.0), *zip(shares.tolist(), cum.tolist())))
+    return LorenzCurve(x=(0.0, *shares.tolist()), y=(0.0, *cum.tolist()))
 
 
 def lorenz_auc(curve: LorenzCurve) -> float:
@@ -110,9 +106,9 @@ def average_lorenz(curves: Sequence[LorenzCurve], grid_size: int = 100) -> Loren
         [np.interp(grid, np.asarray(c.x), np.asarray(c.y)) for c in curves]
     )
     return LorenzBand(
-        grid=tuple(float(v) for v in grid),
-        mean=tuple(float(v) for v in resampled.mean(axis=0)),
-        std=tuple(float(v) for v in resampled.std(axis=0)),
+        grid=tuple(grid.tolist()),
+        mean=tuple(resampled.mean(axis=0).tolist()),
+        std=tuple(resampled.std(axis=0).tolist()),
     )
 
 

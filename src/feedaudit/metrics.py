@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import accumulate, chain, compress
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -78,17 +78,23 @@ def _row_weights(model: DecayModel, ranks: np.ndarray, lengths: np.ndarray) -> n
     """The visibility weight of each row: ``model.weights(L)[rank - 1]``
     for a row of a session of length L, or ``model.visibility(rank)``
     for a rank past L. ``lengths`` are the sessions' lengths, in row
-    order."""
+    order, and at least one is positive.
+
+    The weight vectors of the distinct lengths are laid end to end in
+    one table, so a single gather weighs every row with 1 <= rank <= L;
+    any other row is weighed on its own.
+    """
+    sizes = sorted(set(lengths.tolist()) - {0})
+    table = np.concatenate([model.weights(size) for size in sizes])
+    # Where rank 0 of each length would sit in the table.
+    before = np.zeros(sizes[-1] + 1, dtype=np.intp)
+    before[sizes] = list(accumulate(sizes[:-1], initial=-1))
     row_lengths = np.repeat(lengths, lengths)
-    weights = np.empty(len(ranks))
-    for length in sorted(set(lengths[lengths > 0].tolist())):
-        at = row_lengths == length
-        r = ranks[at]
-        inside = r <= length
-        w = model.weights(length)[np.where(inside, r - 1, 0)]
-        if not inside.all():
-            w[~inside] = [model.visibility(rank) for rank in r[~inside].tolist()]
-        weights[at] = w
+    inside = (ranks >= 1) & (ranks <= row_lengths)
+    weights = table[np.where(inside, before[row_lengths] + ranks, 0)]
+    for i in np.flatnonzero(~inside).tolist():
+        rank, length = int(ranks[i]), int(row_lengths[i])
+        weights[i] = model.weights(length)[rank - 1] if rank <= length else model.visibility(rank)
     return weights
 
 
@@ -133,8 +139,12 @@ def build_exposure_table(
     in_scope = (flags & excluded) == 0
     codes = (batch.author if attribution == ATTR_ORIGINAL else batch.shown)[rows][in_scope]
     sums = np.bincount(codes, weights=_row_weights(model, batch.rank[rows], lengths)[in_scope])
-    present, first = np.unique(codes, return_index=True)
-    present = present[np.argsort(first)]
+    # Each author's first row in scope, then the authors in that order.
+    first = np.full(len(sums), len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    is_first = np.zeros(len(codes), dtype=bool)
+    is_first[first[first < len(codes)]] = True
+    present = codes[is_first]
 
     scale = 1000.0 / total
     entries = dict(zip(map(batch.ids.__getitem__, present.tolist()), sums[present] * scale))
@@ -167,18 +177,29 @@ def top_k(
     exposures: ExposureTable | Mapping[AuthorId, float],
     k: int,
 ) -> list[tuple[AuthorId, float]]:
-    """Top ``k`` authors by exposure, descending; ties break by author id."""
+    """Top ``k`` authors by exposure, descending; ties break by author id.
+
+    A partition first keeps every author whose exposure is at least the
+    k-th largest, so the sort runs on about k items; it is skipped when
+    an exposure is NaN, which orders no values.
+    """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     entries = exposures.entries if isinstance(exposures, ExposureTable) else exposures
-    return heapq.nsmallest(k, entries.items(), key=lambda kv: (-kv[1], kv[0]))
+    items = entries.items()
+    if k < len(entries):
+        values = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
+        if not np.isnan(values).any():
+            kth = np.partition(values, -k)[-k]
+            items = compress(items, (values >= kth).tolist())
+    return heapq.nsmallest(k, items, key=lambda kv: (-kv[1], kv[0]))
 
 
 def author_index(tables: Iterable[ExposureTable]) -> dict[AuthorId, int]:
     """Every author of ``tables`` mapped to its position in order of first
     appearance, table by table."""
     authors = dict.fromkeys(chain.from_iterable(t.entries for t in tables))
-    return {a: i for i, a in enumerate(authors)}
+    return dict(zip(authors, range(len(authors))))
 
 
 def group_exposures(
@@ -189,20 +210,24 @@ def group_exposures(
     Returns the (authors x monitors) matrix whose row ``index[a]`` holds
     author a's exposure on each monitor (0 where a monitor never saw a),
     each author's mean over the monitors, and which authors some table
-    holds. The mean adds a row's exposures one table at a time, in
-    table order, so it has the bits of summing the tables entry by entry
-    into a dict; a pairwise ``np.sum`` would not.
+    holds. Every table's entries are scattered at once. The sums behind
+    the means come from one weighted ``np.bincount``, which adds an
+    author's exposures in table order, so they have the bits of summing
+    the tables entry by entry into a dict; a pairwise ``np.sum`` would
+    not.
     """
+    sizes = [len(t.entries) for t in tables]
+    total = sum(sizes)
+    authors = chain.from_iterable(t.entries for t in tables)
+    codes = np.fromiter(map(index.__getitem__, authors), dtype=np.intp, count=total)
+    values = np.fromiter(
+        chain.from_iterable(t.entries.values() for t in tables), dtype=np.float64, count=total
+    )
     matrix = np.zeros((len(index), len(tables)))
+    matrix[codes, np.repeat(np.arange(len(tables)), sizes)] = values
     seen = np.zeros(len(index), dtype=bool)
-    for j, t in enumerate(tables):
-        size = len(t.entries)
-        codes = np.fromiter(map(index.__getitem__, t.entries), dtype=np.intp, count=size)
-        matrix[codes, j] = np.fromiter(t.entries.values(), dtype=np.float64, count=size)
-        seen[codes] = True
-    sums = np.zeros(len(index))
-    for column in matrix.T:
-        sums += column
+    seen[codes] = True
+    sums = np.bincount(codes, weights=values, minlength=len(index))
     return matrix, sums / len(tables), seen
 
 

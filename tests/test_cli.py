@@ -639,31 +639,51 @@ class TestPipeline:
 
 
 class TestBrokenPipe:
+    # The read end of the child's standard output is closed before the
+    # child starts, so its first write fails, every time, as it would
+    # under `| head -0`. A reader that closes after some lines, as
+    # `| head -1` does, made the outcome depend on timing.
+    @staticmethod
+    def closed_stdout_child(argv):
+        src = str(Path(feedaudit.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            # unbuffered, so that the first print is the write that fails
+            return subprocess.run(
+                [sys.executable, "-u", "-m", "feedaudit", *argv],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+
     def test_closed_stdout_exits_1_without_traceback(self, ws, tmp_path, capsys):
-        # The reader closes the pipe after the first line, as `| head -1`
-        # does; the child's later writes to it fail.
         want, got = tmp_path / "want.csv", tmp_path / "got.csv"
         argv = ["amplify", "--input", str(ws["log"]), "--authors", str(ws["authors"]),
                 "--partisan", "right", "--all", "--out"]
-        assert run(capsys, *argv, str(want))[0] == 0
-        src = str(Path(feedaudit.__file__).parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        for _ in range(3):
-            # unbuffered, so that the first line arrives before the rest;
-            # exit 0 means every write came before the close, so try again
-            child = subprocess.Popen(
-                [sys.executable, "-u", "-m", "feedaudit", *argv, str(got)],
-                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
-            )
-            first = child.stdout.readline()
-            child.stdout.close()
-            err = child.stderr.read()
-            child.stderr.close()
-            rc = child.wait(timeout=120)
-            if rc:
-                break
-        assert first.startswith(b"right vs balanced: ")
-        assert (rc, err) == (1, b"")
+        rc, out, _ = run(capsys, *argv, str(want))
+        assert rc == 0
+        assert out.startswith("right vs balanced: ") and out.endswith(f"wrote {want}\n")
+        child = self.closed_stdout_child([*argv, str(got)])
+        assert (child.returncode, child.stderr) == (1, b"")
+        # The report is written before anything is printed.
+        assert got.read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gini"], ["topk", "--target-group", "left", "-k", "5", "--authors"]],
+        ids=["gini", "topk"],
+    )
+    def test_closed_stdout_keeps_report(self, ws, tmp_path, capsys, argv):
+        if argv[-1] == "--authors":
+            argv = [*argv, str(ws["authors"])]
+        argv = [*argv, "--input", str(ws["log"]), "--out"]
+        want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+        rc, out, _ = run(capsys, *argv, str(want))
+        assert rc == 0 and out.count("\n") > 1 and out.endswith(f"wrote {want}\n")
+        child = self.closed_stdout_child([*argv, str(got)])
+        assert (child.returncode, child.stderr) == (1, b"")
         assert got.read_bytes() == want.read_bytes()
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 
 import numpy as np
@@ -204,6 +205,71 @@ class TestBuildExposureTable:
             )
 
 
+def reference_table(sessions, model, scope, attribution, include_promoted):
+    """(author, exposure) pairs in order of each author's first row in
+    scope, summed one row at a time."""
+    total = sum(len(s.entries) for s in sessions)
+    sums = {}
+    for s in sessions:
+        length = len(s.entries)
+        for e in s.entries:
+            if (scope == SCOPE_OON and e.in_network) or (e.is_promoted and not include_promoted):
+                continue
+            w = model.weights(length)[e.rank - 1] if e.rank <= length else model.visibility(e.rank)
+            author = e.author_id if attribution == ATTR_ORIGINAL else e.displayed_author_id
+            sums[author] = sums.get(author, 0.0) + w
+    return [(a, v * (1000.0 / total)) for a, v in sums.items()]
+
+
+class TestEntryOrder:
+    def test_first_row_out_of_scope(self, model200):
+        # "x" is seen first in network, out of scope; its first row in
+        # scope comes after "y"'s, so "y" leads the out-of-network table.
+        rec = session(
+            "s1",
+            "m1",
+            [entry(1, "x", in_net=True), entry(2, "y"), entry(3, "x"), entry(4, "z", in_net=True), entry(5, "w")],
+        )
+        assert list(build_exposure_table([rec], model200, scope=SCOPE_OON).entries) == ["y", "x", "w"]
+        assert list(build_exposure_table([rec], model200, scope=SCOPE_ALL).entries) == ["x", "y", "z", "w"]
+        # Likewise an author whose first row is a promoted tweet.
+        ads = session("s2", "m1", [entry(1, "ad", promoted=True), entry(2, "b"), entry(3, "ad")])
+        assert list(build_exposure_table([ads], model200, include_promoted=False).entries) == ["b", "ad"]
+        assert list(build_exposure_table([ads], model200).entries) == ["ad", "b"]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_sessions_equal_reference(self, model200, seed):
+        # Sessions of several lengths, some with a rank past their length
+        # (weighed by ``visibility``), with every flag mixed in.
+        rng = np.random.default_rng(seed)
+        recs = []
+        for i in range(6):
+            length = int(rng.choice([5, 8, 13]))
+            ranks = list(range(1, length + 1))
+            if i % 3 == 0:
+                ranks[-1] = length + int(rng.integers(1, 20))
+            recs.append(session(f"s{i}", "m1", [
+                entry(
+                    r,
+                    f"a{rng.integers(0, 15)}",
+                    displayed=f"a{rng.integers(0, 15)}",
+                    in_net=bool(rng.random() < 0.4),
+                    promoted=bool(rng.random() < 0.2),
+                )
+                for r in ranks
+            ]))
+        for scope in (SCOPE_OON, SCOPE_ALL):
+            for attribution in (ATTR_ORIGINAL, ATTR_DISPLAYED):
+                for include_promoted in (True, False):
+                    table = build_exposure_table(
+                        recs, model200, scope=scope, attribution=attribution, include_promoted=include_promoted
+                    )
+                    expected = reference_table(recs, model200, scope, attribution, include_promoted)
+                    assert [(a, float.hex(float(v))) for a, v in table.entries.items()] == [
+                        (a, float.hex(float(v))) for a, v in expected
+                    ]
+
+
 class TestTopK:
     def test_ordering(self):
         assert top_k({"a": 3.0, "b": 1.0, "c": 2.0}, 2) == [("a", 3.0), ("c", 2.0)]
@@ -232,6 +298,30 @@ class TestTopK:
         entries = dict(zip(ids, values))
         expected = sorted(entries.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
         assert repr(top_k(entries, k)) == repr(expected)
+
+
+    @pytest.mark.parametrize("seed", [4, 5])
+    def test_matches_heapq_reference(self, seed):
+        # Ties straddle every k-th value, and values one ulp either side
+        # of a tied value sit on both sides of the partition's cut; k runs
+        # past the table size. Python and numpy floats are mixed.
+        rng = np.random.default_rng(seed)
+        tied = [0.0, 0.5, 1.25, 2.0]
+        near = [np.nextafter(1.25, 0.0), np.nextafter(1.25, 2.0)]
+        values = rng.choice(tied + near, size=30)
+        entries = {
+            f"a{i:02d}": (float(v) if i % 2 else v) for i, v in zip(rng.permutation(30), values)
+        }
+
+        def reference(items, k):
+            return heapq.nsmallest(k, items.items(), key=lambda kv: (-kv[1], kv[0]))
+
+        for k in range(1, 33):
+            assert repr(top_k(entries, k)) == repr(reference(entries, k)), k
+        # A NaN orders no values; the partition is skipped.
+        entries["nan"] = float("nan")
+        for k in (1, 5, 30):
+            assert repr(top_k(entries, k)) == repr(reference(entries, k)), k
 
 
 class TestGroupMeanExposure:

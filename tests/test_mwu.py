@@ -14,6 +14,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from feedaudit import (
     AnalysisError,
@@ -22,9 +24,11 @@ from feedaudit import (
     MODE_AUTO,
     MODE_EXACT,
     MODE_NORMAL,
+    MannWhitneyResult,
     mann_whitney_u,
     mann_whitney_u_many,
 )
+from feedaudit import mwu
 
 
 def midranks(pooled):
@@ -93,6 +97,78 @@ def reference_normal(sample_a, sample_b):
         1.0 / math.sqrt(2.0 * math.pi)
     )
     return statistic, min(1.0, 2.0 * min(max(tail, 0.0), 1.0))
+
+
+def reference_rank(pooled, n):
+    """Dense ranking of each row of ``pooled``, whose first ``n`` columns
+    are sample A: a stable argsort of every cell, zeros included.
+
+    Returns the doubled midranks of each row in ascending order, the
+    doubled rank sum of sample A per row, and the tie term sum(t^3 - t).
+    This is the kernel the batched test used before it ranked only the
+    non-zero entries, kept here as the reference for the zero-aware one.
+    """
+    rows, big_n = pooled.shape
+    order = np.argsort(pooled, axis=1, kind="stable")
+    values = np.take_along_axis(pooled, order, axis=1)
+    pos = np.arange(big_n)
+    run_start = np.ones((rows, big_n), dtype=bool)
+    np.not_equal(values[:, 1:], values[:, :-1], out=run_start[:, 1:])
+    run_end = np.ones_like(run_start)
+    run_end[:, :-1] = run_start[:, 1:]
+    # Each position's run spans [first, last]: the latest run start at or
+    # before it and the earliest run end at or after it.
+    first = np.maximum.accumulate(np.where(run_start, pos, 0), axis=1)
+    last_rev = np.where(run_end, pos, big_n - 1)[:, ::-1]
+    last = np.minimum.accumulate(last_rev, axis=1)[:, ::-1]
+    doubled = first + last + 2
+    doubled_sum_a = np.where(order < n, doubled, 0).sum(axis=1)
+    run_len = last - first + 1
+    tie_terms = (run_len * run_len - 1).sum(axis=1)
+    return doubled, doubled_sum_a, tie_terms
+
+
+def reference_many(a, b, mode):
+    """``mann_whitney_u_many`` row by row from ``reference_rank``; the
+    p-value formulas are the module's own, so only the ranking differs."""
+    n, m = a.shape[1], b.shape[1]
+    doubled, sums, ties = reference_rank(np.concatenate([a, b], axis=1), n)
+    small_exact = min(n, m) <= mwu._AUTO_EXACT_MAX and math.comb(n + m, n) <= mwu.EXACT_LIMIT
+    results = []
+    for i in range(len(a)):
+        u_a = 0.5 * sums[i] - 0.5 * n * (n + 1)
+        exact = mode == MODE_EXACT or (mode == MODE_AUTO and ties[i] == 0 and small_exact)
+        if exact:
+            smaller, observed = (n, int(sums[i])) if n <= m else (m, (n + m) * (n + m + 1) - int(sums[i]))
+            p = mwu._exact_pvalue(tuple(doubled[i].tolist()), smaller, observed)
+        else:
+            p = float(mwu._normal_pvalues(np.array([u_a]), ties[i : i + 1], n, m)[0])
+        results.append(
+            MannWhitneyResult(float(min(u_a, n * m - u_a)), p, MODE_EXACT if exact else MODE_NORMAL)
+        )
+    return tuple(results)
+
+
+def zero_heavy_rows(seed, k, n, m):
+    """(k, n) and (k, m) samples that are at least 90% zeros, with -0.0
+    among the zeros and tied negative and positive values, led by the
+    rows that take the zero-aware ranking's edge cases."""
+    rng = np.random.default_rng(seed)
+    big_n = n + m
+    pooled = rng.choice([-2.0, -0.5, 0.25, 1.0, 3.0], size=(k, big_n))
+    pooled[rng.random((k, big_n)) < 0.92] = 0.0
+    pooled[rng.random((k, big_n)) < 0.3] *= -1.0  # more negatives, and -0.0 zeros
+    pooled[:, rng.integers(big_n)] = 0.0  # no row free of zeros
+    special = np.zeros((8, big_n))
+    special[1, :] = -0.0  # every zero negative
+    special[2, 0] = 1.5  # one non-zero, in A
+    special[3, -1] = -1.5  # one non-zero, negative, in B
+    special[4, ::2] = 2.0  # tied non-zeros in both samples
+    special[5, 1::3] = -3.0  # tied negatives
+    special[6, :] = 7.0  # no zero, all tied
+    special[7, :] = rng.normal(size=big_n)  # no zero, tie-free
+    pooled[: min(k, 8)] = special[: min(k, 8)]
+    return pooled[:, :n], pooled[:, n:]
 
 
 def mixed_rows(seed, k, n, m):
@@ -202,7 +278,7 @@ class TestNormalApproximation:
 
 
 class TestBatched:
-    # k = 600 spans three blocks of the batched kernel.
+    # k = 600 rows fill most of one block of the batched kernel.
     @pytest.mark.parametrize("mode", [MODE_AUTO, MODE_EXACT, MODE_NORMAL])
     @pytest.mark.parametrize("n,m,k", [(6, 9, 600), (9, 6, 7), (4, 4, 1)])
     def test_rows_equal_single_test(self, mode, n, m, k):
@@ -297,6 +373,74 @@ class TestBatched:
         a, b = mixed_rows(12, 2, 15, 15)  # C(30, 15) ~ 1.55e8 > 1e7
         with pytest.raises(AnalysisError):
             mann_whitney_u_many(a, b, mode=MODE_EXACT)
+
+
+def assert_results_bitwise(results, expected):
+    assert len(results) == len(expected)
+    for i, (res, ref) in enumerate(zip(results, expected)):
+        assert res.method == ref.method, i
+        assert float.hex(res.statistic) == float.hex(ref.statistic), i
+        assert float.hex(res.pvalue) == float.hex(ref.pvalue), i
+
+
+class TestZeroAwareRanking:
+    """The ranking sorts only the non-zero entries; every rank sum, tie
+    term, midrank and result must equal the dense reference's."""
+
+    @pytest.mark.parametrize(
+        "n,m,k",
+        [(30, 30, 2000), (30, 25, 300), (5, 7, 0), (5, 7, 1), (7, 5, 400), (1, 1, 50), (1, 9, 50)],
+    )
+    def test_ranks_equal_reference(self, n, m, k):
+        a, b = zero_heavy_rows(10 * n + m, k, n, m)
+        ranks = mwu._rank_rows(a, b)
+        doubled, sums, ties = reference_rank(np.concatenate([a, b], axis=1), n)
+        assert ranks.doubled_sum_a.tolist() == sums.tolist()
+        assert ranks.tie_terms.tolist() == ties.tolist()
+        assert [ranks.sorted_doubled(i) for i in range(k)] == [tuple(row) for row in doubled.tolist()]
+        if k >= 8:
+            # The all-zero rows: one run of n + m at the middle rank.
+            assert ranks.tie_terms[0] == ranks.tie_terms[1] == (n + m) ** 3 - (n + m)
+            assert ranks.doubled_sum_a[1] == n * (n + m + 1)
+
+    # k = 0, 1, and past one block of the kernel.
+    @pytest.mark.parametrize("k", [0, 1, mwu._BLOCK_ROWS + 9])
+    @pytest.mark.parametrize("n,m", [(5, 7), (7, 5), (4, 4)])
+    @pytest.mark.parametrize("mode", [MODE_AUTO, MODE_EXACT, MODE_NORMAL])
+    def test_results_equal_reference(self, mode, n, m, k):
+        a, b = zero_heavy_rows(100 * n + m, k, n, m)
+        assert_results_bitwise(mann_whitney_u_many(a, b, mode), reference_many(a, b, mode))
+
+    @pytest.mark.parametrize("mode", [MODE_AUTO, MODE_NORMAL])
+    def test_paper_scale_results_equal_reference(self, mode):
+        # 30 monitors a group, as the paper's amplification tests; rows
+        # span three blocks.
+        a, b = zero_heavy_rows(30, 2 * mwu._BLOCK_ROWS + 100, 30, 30)
+        assert (np.concatenate([a, b], axis=1) == 0).mean() >= 0.9
+        assert_results_bitwise(mann_whitney_u_many(a, b, mode), reference_many(a, b, mode))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=7),
+        m=st.integers(min_value=1, max_value=7),
+        k=st.integers(min_value=0, max_value=6),
+    )
+    def test_hypothesis_rows(self, data, n, m, k):
+        value = st.one_of(
+            st.sampled_from([0.0, -0.0, 0.0, 1.0, -1.0, 2.5]),
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        )
+        rows = data.draw(st.lists(st.lists(value, min_size=n + m, max_size=n + m), min_size=k, max_size=k))
+        pooled = np.array(rows, dtype=np.float64).reshape(k, n + m)
+        a, b = pooled[:, :n], pooled[:, n:]
+        ranks = mwu._rank_rows(a, b)
+        doubled, sums, ties = reference_rank(pooled, n)
+        assert ranks.doubled_sum_a.tolist() == sums.tolist()
+        assert ranks.tie_terms.tolist() == ties.tolist()
+        assert [ranks.sorted_doubled(i) for i in range(k)] == [tuple(row) for row in doubled.tolist()]
+        for mode in (MODE_AUTO, MODE_EXACT, MODE_NORMAL):
+            assert_results_bitwise(mann_whitney_u_many(a, b, mode), reference_many(a, b, mode))
 
 
 class TestSymmetry:
