@@ -40,7 +40,7 @@ from .metrics import (
     group_mean_exposure,
     top_k,
 )
-from .model import GROUP_ORDER, GroupLabel, SessionRecord, ensure_utc
+from .model import GROUP_ORDER, LEAN_UNKNOWN, GroupLabel, SessionRecord, ensure_utc
 from .simkit import (
     FleetConfig,
     LeanMixture,
@@ -52,6 +52,7 @@ from .simkit import (
 )
 from .store import (
     GroupStats,
+    _format_ts,
     _render,
     dataset_stats,
     emit_report,
@@ -316,7 +317,7 @@ def _jsonable(value: Any) -> Any:
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, datetime):
-        return ensure_utc(value).isoformat().replace("+00:00", "Z")
+        return _format_ts(value)
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     return _render(value)
@@ -498,7 +499,7 @@ def _topk_rows(
         raise DataError(f"no sessions for group {group.value}")
     means = group_mean_exposure(tables[group])
     return [
-        dict(zip(_TOPK_COLUMNS, (group.value, a, e, labels.get(a, "unknown"))))
+        dict(zip(_TOPK_COLUMNS, (group.value, a, e, labels.get(a, LEAN_UNKNOWN))))
         for a, e in top_k(means, k)
     ]
 
@@ -550,7 +551,8 @@ def cmd_amplify(args: argparse.Namespace) -> int:
     labels = _roster_labels(args.authors)
     top = args.k if args.k is not None else analysis["top"]
     if args.all:
-        top = len({a for t in (*tables[partisan], *tables[baseline]) for a in t.entries})
+        # at least 1: a log with no observed author gives the empty report
+        top = max(1, len({a for t in (*tables[partisan], *tables[baseline]) for a in t.entries}))
     alpha = args.alpha if args.alpha is not None else analysis["alpha_amplify"]
     rows = build_amplification_report(
         tables[partisan],

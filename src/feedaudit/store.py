@@ -49,12 +49,16 @@ its lines and goes through the per-session path, which builds a record
 and has :func:`validate_session` name its violations; when a block is
 not plain or a session raises, what was read is dropped and a
 ``csv.reader`` row loop reads the log again from its first line, as it
-does a log whose first line is not the bare header. The row loop checks
-each row's field count and group and parses a session's rows column by
-column through the same per-session path. Line numbers are physical
-lines of the file, where a quoted field may hold a line break. Per-row
-counts such as :func:`dataset_stats` come from the flag masks, session
-by session over the batch offsets.
+does a log whose first line is not the bare header. The row loop and
+:func:`read_authors` take their records from one reader,
+:func:`_records`, which checks the header and each record's field count
+and skips blank lines; the row loop also checks each row's group and
+parses a session's rows column by column through the same per-session
+path. Line numbers are physical lines of the file, where a quoted field
+may hold a line break: a record starts one line after the line where
+the record or blank line before it ended. Per-row counts such as
+:func:`dataset_stats` come from the flag masks, session by session over
+the batch offsets.
 
 A large log is read in two processes, as a CSV is loaded in chunks whose
 record boundaries are resolved at the cuts (Muehlbauer et al., "Instant
@@ -74,7 +78,6 @@ everything.
 from __future__ import annotations
 
 import csv
-import gc
 import io
 import json
 import math
@@ -82,11 +85,11 @@ import os
 import pickle
 import signal
 import threading
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from itertools import accumulate, chain, groupby
+from itertools import chain, groupby
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
@@ -151,42 +154,6 @@ def _parse_ts(text: str, path: str, line: int) -> datetime:
 
 _BOOLEANS = frozenset(["true", "false"])
 _GROUP_TEXTS = frozenset(["", *(g.value for g in GroupLabel)])
-
-
-@contextmanager
-def _gc_paused() -> Iterator[None]:
-    """Pause the cyclic garbage collector, restoring its state on exit.
-
-    The row loop of a read allocates a list per row; collections in the
-    middle only rescan rows that are still alive and form no reference
-    cycle.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        yield
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _line_breaks(row: Sequence[str]) -> int:
-    """The line breaks inside a record's quoted fields: the record spans
-    one physical line more than this. ``\\n``, ``\\r`` and ``\\r\\n`` each
-    end a line, as for a file opened with ``newline=""``."""
-    text = ",".join(row)
-    return text.count("\n") + text.count("\r") - text.count("\r\n")
-
-
-def _row_lines(rows: Sequence[Sequence[str]], first_line: int, blanks: Sequence[int]) -> list[int]:
-    """The physical line each of a session's rows starts on. A row starts
-    one line after the row before it, later by each blank line between
-    them (``blanks`` holds the offsets of the rows that follow one) and by
-    each line break inside the quoted fields of the row before it."""
-    shift = [0, *map(_line_breaks, rows)]
-    for b in blanks:
-        shift[b] += 1
-    return [first_line + i + s for i, s in zip(range(len(rows)), accumulate(shift))]
 
 
 def _first_bad_field(rows: Sequence[Sequence[str]], path: str, lines: Sequence[int]) -> ParseError:
@@ -553,6 +520,30 @@ def _open(path: Path, what: str, mode: str = "r", **kw) -> IO:
         raise DataError(f"cannot open {what} {path}: {exc.strerror or exc}") from None
 
 
+def _records(path: Path, what: str, fields: tuple[str, ...]) -> Iterator[tuple[int, list[str]]]:
+    """The records of the CSV file ``path`` after its header, which must
+    be ``fields``, each with the physical line it starts on: one line
+    after the line where the record or blank line before it ended, as a
+    quoted field may hold a line break. Blank lines are skipped; a record
+    of another width raises :class:`ParseError` naming its line."""
+    with _open(path, what, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"{what} is empty: {path}") from None
+        if tuple(header) != fields:
+            raise ParseError(f"unexpected header {header!r}", path=str(path), line=1)
+        width, last = len(fields), 1
+        for row in reader:
+            line, last = last + 1, reader.line_num
+            if not row:
+                continue
+            if len(row) != width:
+                raise ParseError(f"expected {width} fields, got {len(row)}", path=str(path), line=line)
+            yield line, row
+
+
 def _workers() -> int:
     """The processes a read may use: 2 where ``os.fork`` exists, two CPUs
     are usable and no other thread runs, as a forked child would inherit
@@ -691,10 +682,14 @@ def read_sessions(
     When a block is not plain or holds an unknown group, or a session
     of it raises, what was read is dropped and a ``csv.reader`` row
     loop reads the log again from its first line, as it reads a log
-    whose first line is not the bare header. Errors with their message
-    and line, counts, violations and the order of author codes are the
-    same on every path. A filtered session is checked no further than
-    its capture time, so a bad rank or flag in it raises nothing.
+    whose first line is not the bare header. The row loop groups the
+    records of :func:`_records` by session id, so a row with an unknown
+    group raises before the session ahead of it is ingested. Errors with
+    their message and line, counts, violations and the order of author
+    codes are the same on every path. Lines are physical lines: a record
+    starts one line after the line where the record or blank line before
+    it ended. A filtered session is checked no further than its capture
+    time, so a bad rank or flag in it raises nothing.
 
     A regular file of at least ``_SPLIT_BYTES`` is read in two processes
     when :func:`_workers` allows two: ``os.fork`` exists, two CPUs are
@@ -716,12 +711,11 @@ def read_sessions(
     if not path.exists():
         raise DataError(f"session log not found: {path}")
     ingest = _Ingest(path, group, monitor_id, start, end, follows)
-    with _gc_paused():
-        if not (path.is_file() and ingest.blocks()):
-            # The blocks read so far were plain, so the row loop reads
-            # them the same; it starts again with nothing ingested.
-            ingest = _Ingest(path, group, monitor_id, start, end, follows)
-            ingest.row_loop()
+    if not (path.is_file() and ingest.blocks()):
+        # The blocks read so far were plain, so the row loop reads them
+        # the same; it starts again with nothing ingested.
+        ingest = _Ingest(path, group, monitor_id, start, end, follows)
+        ingest.row_loop()
     return IngestResult(
         sessions=tuple(ingest.batch.build(tuple(ingest.code)).records()),
         total=ingest.total,
@@ -734,8 +728,9 @@ def read_sessions(
 class _Ingest:
     """The state of one :func:`read_sessions` call and its three paths:
     the block tokenizer (:meth:`blocks`), the ``csv.reader`` row loop
-    (:meth:`row_loop`) and the per-session path that both go through
-    (:meth:`flush`)."""
+    (:meth:`row_loop`) over :func:`_records`, and the per-session path
+    that both go through (:meth:`flush`), which takes each row with the
+    physical line it starts on."""
 
     def __init__(
         self,
@@ -789,14 +784,15 @@ class _Ingest:
         codes = None if follow_set is None else [self.code[a] for a in follow_set if a in self.code]
         return follow_set, codes
 
-    def flush(self, rows: list[list[str]], first_line: int, blanks: list[int]) -> None:
-        """Ingest one session from its rows: ``first_line`` is the physical
-        line of its first row, ``blanks`` the offsets of its rows that
-        follow a blank line."""
+    def flush(self, rows: Sequence[list[str]], lines: Sequence[int]) -> None:
+        """Ingest one session from its rows; ``lines`` holds the physical
+        line each row starts on, which names the row in an error or a
+        violation. The block path passes consecutive lines, as its lines
+        hold no quoted line break and none is blank."""
         self.total += 1
         sid, mon, grp_text, ts_text = rows[0][:4]
         grp = GroupLabel(grp_text) if grp_text else None
-        captured = _parse_ts(ts_text, self.where, first_line)
+        captured = _parse_ts(ts_text, self.where, lines[0])
         if self.excluded(grp, mon, captured):
             self.filtered += 1
             return
@@ -807,7 +803,7 @@ class _Ingest:
         if mons.count(mon) != n or grps.count(grp_text) != n or stamps.count(ts_text) != n:
             issues = [
                 f"line {line}: inconsistent session header fields"
-                for row, line in zip(rows, _row_lines(rows, first_line, blanks))
+                for row, line in zip(rows, lines)
                 if row[1] != mon or row[2] != grp_text or row[3] != ts_text
             ]
         self.grow_ranks(n)
@@ -816,7 +812,7 @@ class _Ingest:
             in_order = rank_col == self.rank_texts[:n]
             parsed = None if in_order else list(map(int, rank_col))
         except (KeyError, ValueError):
-            raise _first_bad_field(rows, self.where, _row_lines(rows, first_line, blanks)) from None
+            raise _first_bad_field(rows, self.where, lines) from None
         in_order = in_order or parsed == self.ranks[:n].tolist()
         author_codes, shown_codes = self.encode(authors), self.encode(shown)
         if sid in self.seen_ids:
@@ -1021,7 +1017,7 @@ class _Ingest:
                     )
                     continue
             try:
-                self.flush(rows or _rows(buf, starts[r0], ends[r1 - 1]), first_line + r0, [])
+                self.flush(rows or _rows(buf, starts[r0], ends[r1 - 1]), range(first_line + r0, first_line + r1))
             except ParseError:
                 return None
         return int(ends[-1]) + 1, n
@@ -1063,42 +1059,20 @@ class _Ingest:
         return author, shown
 
     def row_loop(self) -> None:
-        """Ingest the log with ``csv.reader``, row by row."""
-        path, where = self.path, self.where
-        with _open(path, "session log", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"session log is empty: {path}") from None
-            if tuple(header) != SESSION_FIELDS:
-                raise ParseError(f"unexpected header {header!r}", path=where, line=1)
-            width = len(SESSION_FIELDS)
-            rows: list[list[str]] = []  # the current session's rows
-            blanks: list[int] = []  # offsets of its rows that follow a blank line
-            sid: str | None = None
-            first_line = 1
-            for row in reader:
-                # Lines are physical lines; a record with a line break in a
-                # quoted field spans more than one. The reader has read up to
-                # the end of this record.
-                if not row:
-                    blanks.append(len(rows))
-                    continue
-                if len(row) != width:
-                    line = reader.line_num - _line_breaks(row)
-                    raise ParseError(f"expected {width} fields, got {len(row)}", path=where, line=line)
-                if row[2] not in _GROUP_TEXTS:
-                    line = reader.line_num - _line_breaks(row)
-                    raise ParseError(f"unknown group {row[2]!r}", path=where, line=line)
-                if row[0] != sid:
-                    if rows:
-                        self.flush(rows, first_line, blanks)
-                    rows, blanks = [], []
-                    sid, first_line = row[0], reader.line_num - _line_breaks(row)
-                rows.append(row)
-            if rows:
-                self.flush(rows, first_line, blanks)
+        """Ingest the log with ``csv.reader``, one session at a time. A row
+        with an unknown group raises before the session ahead of it is
+        ingested."""
+
+        def session_id(record: tuple[int, list[str]]) -> str:
+            row = record[1]
+            if row[2] not in _GROUP_TEXTS:
+                raise ParseError(f"unknown group {row[2]!r}", path=self.where, line=record[0])
+            return row[0]
+
+        with closing(_records(self.path, "session log", SESSION_FIELDS)) as records:
+            for _, session in groupby(records, session_id):
+                lines, rows = zip(*session)
+                self.flush(rows, lines)
 
 
 @dataclass(frozen=True)
@@ -1293,25 +1267,8 @@ def read_authors(path: str | Path) -> dict[AuthorId, AuthorInfo]:
     if not path.exists():
         raise DataError(f"author roster not found: {path}")
     out: dict[AuthorId, AuthorInfo] = {}
-    with _open(path, "author roster", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"author roster is empty: {path}") from None
-        if tuple(header) != AUTHOR_FIELDS:
-            raise ParseError(f"unexpected header {header!r}", path=str(path), line=1)
-        for row in reader:
-            if not row:
-                continue
-            # the physical line the record starts on
-            line_no = reader.line_num - _line_breaks(row)
-            if len(row) != len(AUTHOR_FIELDS):
-                raise ParseError(
-                    f"expected {len(AUTHOR_FIELDS)} fields, got {len(row)}",
-                    path=str(path),
-                    line=line_no,
-                )
+    with closing(_records(path, "author roster", AUTHOR_FIELDS)) as records:
+        for line, row in records:
             try:
                 out[row[0]] = AuthorInfo(
                     lean=float(row[1]),
@@ -1320,7 +1277,5 @@ def read_authors(path: str | Path) -> dict[AuthorId, AuthorInfo]:
                     label=row[4],
                 )
             except ValueError:
-                raise ParseError(
-                    f"bad numeric field in {row!r}", path=str(path), line=line_no
-                ) from None
+                raise ParseError(f"bad numeric field in {row!r}", path=str(path), line=line) from None
     return out

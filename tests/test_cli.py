@@ -177,6 +177,14 @@ class TestIngest:
         assert rc == 3
         assert "session log is empty" in err
 
+    def test_dev_null_is_an_empty_roster(self, ws, tmp_path, capsys):
+        if not os.path.exists(os.devnull) or os.path.isfile(os.devnull):
+            pytest.skip("no character device for the null file")
+        out = tmp_path / "out"
+        rc, _, err = run(capsys, "report", "--input", str(ws["log"]), "--authors", os.devnull, "--out-dir", str(out))
+        assert rc == 3
+        assert f"author roster is empty: {os.devnull}" in err
+
 
 class TestStats:
     def test_text_output(self, ws, capsys):
@@ -447,6 +455,24 @@ class TestAmplify:
         )
         assert rc == 0
         assert all(r["significant"] == "false" for r in csv.DictReader(path.open()))
+
+    def test_all_without_out_of_network_authors(self, tmp_path, capsys):
+        # left and balanced monitors are shown no out-of-network author:
+        # --all tests none of them and writes the header alone, as the
+        # default top does
+        cfg = tmp_path / "config.json"
+        cfg.write_text(json.dumps({
+            "fleet": {"duration_days": 1, "monitors_per_group": 2},
+            "ranker": {"oon_mix": {"neutral": 1.0, "left": 0.0, "right": 0.5, "balanced": 0.0}},
+        }))
+        log = tmp_path / "log.csv"
+        assert main(["simulate", "--config", str(cfg), "--out", str(log)]) == 0
+        for flags in ((), ("--all",)):
+            path = tmp_path / "amp.csv"
+            rc, out, _ = run(capsys, "amplify", "--input", str(log), "--partisan", "left", *flags, "--out", str(path))
+            assert rc == 0
+            assert "left vs balanced: 0 authors" in out
+            assert path.read_text() == self.HEADER + "\n"
 
     def test_missing_baseline_group(self, tmp_path, capsys):
         recs = [

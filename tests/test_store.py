@@ -102,7 +102,7 @@ class TestRoundTrip:
         assert len(header_rows) == 1
 
     def test_gc_state_restored(self, fleet_sessions, tmp_path):
-        # the read pauses the cyclic collector and leaves it as it found it
+        # the read leaves the cyclic collector as it found it
         path = tmp_path / "log.csv"
         write_sessions(fleet_sessions, path)
         assert gc.isenabled()
@@ -1618,6 +1618,20 @@ class TestAuthorsRoster:
         path.write_text("who,what\n1,2\n")
         with pytest.raises(ParseError):
             read_authors(path)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "authors.csv"
+        path.write_text("")
+        with pytest.raises(DataError, match="author roster is empty: "):
+            read_authors(path)
+
+    def test_blank_lines_around_records(self, tmp_path):
+        path = tmp_path / "authors.csv"
+        write_authors([self.author("a", 0.5), self.author("b", -0.5)], path)
+        want = read_authors(path)
+        header, *records = path.read_text().splitlines()
+        path.write_text("\n".join([header, "", *records[:1], "", "", *records[1:], "", ""]) + "\n")
+        assert read_authors(path) == want
 
     @staticmethod
     def author(author_id, lean):
