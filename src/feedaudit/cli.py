@@ -160,6 +160,13 @@ def build_sim_objects(
             if k not in _PER_GROUP_FIELDS and type(v) in (bool, int, float)
         }
         _typed(section, scalars, {**scalars, **cfg.get(section, {})})
+    for key, value in (
+        ("seed", seed),
+        ("world.seed", cfg.get("world", {}).get("seed", 0)),
+        ("ranker.seed", cfg.get("ranker", {}).get("seed", 0)),
+    ):
+        if value < 0:
+            raise ConfigError(f"{key} must be >= 0, got {value!r}")
     try:
         wcfg = dict(cfg.get("world", {}))
         mixture = wcfg.pop("lean_mixture", None)
@@ -584,7 +591,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     analysis = analysis_options(cfg, args)
     decay_cfg = decay_options(cfg)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot make output directory {out_dir}: {exc.strerror or exc}") from None
     artifacts: list[str] = []
 
     def artifact(name: str) -> Path:
@@ -799,10 +809,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out_files(args: argparse.Namespace) -> None:
+    """Raise :class:`DataError` for an ``--out`` or ``--authors-out``
+    path that names a directory or lies in no directory, before the
+    command reads, simulates or writes anything."""
+    for path in filter(None, (getattr(args, "out", None), getattr(args, "authors_out", None))):
+        if Path(path).is_dir():
+            raise DataError(f"output file is a directory: {path}")
+        if not Path(path).parent.is_dir():
+            raise DataError(f"no directory for output file: {path}")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_out_files(args)
         code = args.func(args)
         sys.stdout.flush()
         return code

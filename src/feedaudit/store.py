@@ -85,7 +85,7 @@ import os
 import pickle
 import signal
 import threading
-from contextlib import closing, contextmanager
+from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -465,6 +465,12 @@ _SPLIT_BYTES = 4 << 20
 #: Items in each message from the worker: session ids, author ids,
 #: violations, or the rows of whole sessions.
 _PART = 4096
+#: Bytes a worker's pipe holds where Linux lets it grow past its default
+#: 64 KB, so that the worker stops less often on a full pipe: with 1 MB a
+#: split simulation of 1,920 sessions of 100 rows took 168 ms against
+#: 175 ms, and of 480 sessions of 500 to 700 rows 102 ms against 107 ms
+#: (medians of 14 alternating runs, 11 of 14 faster each).
+_PIPE_BYTES = 1 << 20
 
 _HEADER_LINE = (",".join(SESSION_FIELDS) + "\n").encode()
 _LINE_FEED, _COMMA = ord("\n"), ord(",")
@@ -545,9 +551,10 @@ def _records(path: Path, what: str, fields: tuple[str, ...]) -> Iterator[tuple[i
 
 
 def _workers() -> int:
-    """The processes a read may use: 2 where ``os.fork`` exists, two CPUs
-    are usable and no other thread runs, as a forked child would inherit
-    the locks that thread holds with no thread to release them; else 1."""
+    """The processes a read or a simulation may use: 2 where ``os.fork``
+    exists, two CPUs are usable and no other thread runs, as a forked
+    child would inherit the locks that thread holds with no thread to
+    release them; else 1."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or threading.active_count() > 1:
         return 1
     return min(2, len(os.sched_getaffinity(0)))
@@ -613,12 +620,17 @@ def _cut(fh: BinaryIO, start: int, stop: int) -> int | None:
 
 @contextmanager
 def _forked(work: Callable[[BinaryIO], None]) -> Iterator[BinaryIO]:
-    """Run ``work`` in a forked child on the write end of a pipe, and
-    yield the read end. The child leaves through ``os._exit``, so it
+    """Run ``work`` in a forked child on the write end of a pipe, grown
+    to ``_PIPE_BYTES`` where Linux allows, and yield the read end. The child leaves through ``os._exit``, so it
     flushes no buffer it copied from this process and runs no exit
     handler. On the way out the child is killed, if it still runs, and
     reaped."""
+    import fcntl  # POSIX, as os.fork is
+
     r, w = os.pipe()
+    if hasattr(fcntl, "F_SETPIPE_SZ"):  # Linux
+        with suppress(OSError):  # past the user's quota the pipe stays 64 KB
+            fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
     with open(r, "rb") as results:
         try:
             pid = os.fork()
@@ -640,6 +652,29 @@ def _forked(work: Callable[[BinaryIO], None]) -> Iterator[BinaryIO]:
         finally:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+
+
+def _send_batch(batch: SessionBatch, out: BinaryIO) -> None:
+    """Send the sessions of ``batch`` to :func:`_receive_batch` through
+    ``out``: pickles of whole sessions of at most ``_PART`` rows, or of
+    one longer session, and then None."""
+    dump = partial(pickle.dump, file=out, protocol=pickle.HIGHEST_PROTOCOL)
+    start = 0
+    while start < len(batch):
+        stop = max(start + 1, int(np.searchsorted(batch.offsets, batch.offsets[start] + _PART, "right")) - 1)
+        dump(batch.part(start, stop))
+        start = stop
+    dump(None)
+
+
+def _receive_batch(results: BinaryIO, builder: BatchBuilder, codes: np.ndarray) -> None:
+    """Append to ``builder`` the sessions that :func:`_send_batch` sent
+    through ``results``, each part as it arrives; ``codes`` maps the
+    sender's author codes to the builder's. Raises EOFError or
+    pickle.UnpicklingError when the sender stopped before the None that
+    ends them, with the parts before that appended."""
+    for part in iter(partial(pickle.load, results), None):
+        builder.extend(part, codes)
 
 
 def read_sessions(
@@ -907,14 +942,7 @@ class _Ingest:
             for k in range(0, len(items), _PART):
                 dump(items[k : k + _PART])
             dump([])
-        batch = self.batch.build(())
-        start = 0
-        while start < len(batch):
-            # whole sessions of at most _PART rows, or one longer session
-            stop = max(start + 1, int(np.searchsorted(batch.offsets, batch.offsets[start] + _PART, "right")) - 1)
-            dump(batch.part(start, stop))
-            start = stop
-        dump(None)
+        _send_batch(self.batch.build(()), out)
 
     def merge(self, results: BinaryIO) -> bool:
         """Add what the worker sent to this state, which holds the log up
@@ -937,8 +965,7 @@ class _Ingest:
         # The worker coded its ids in order of first appearance after the
         # cut, so new ones get their codes in the serial read's order.
         codes = np.array([self.code.setdefault(a, len(self.code)) for a in ids], np.intc)
-        for part in iter(load, None):
-            self.batch.extend(part, codes)
+        _receive_batch(results, self.batch, codes)
         return True
 
     def block(self, buf: bytes, size: int, first_line: int, final: bool) -> tuple[int, int] | None:

@@ -303,6 +303,82 @@ class TestConfigHandling:
         assert not out.exists() or list(out.iterdir()) == []
 
 
+    @pytest.mark.parametrize(
+        "argv, config, key",
+        [
+            (["simulate", "--seed", "-1"], {}, "seed"),
+            (["pipeline", "--seed", "-1"], {}, "seed"),
+            (["simulate"], {"seed": -5}, "seed"),
+            (["pipeline"], {"world": {"seed": -5}}, "world.seed"),
+            (["simulate"], {"ranker": {"seed": -5}}, "ranker.seed"),
+        ],
+    )
+    def test_negative_seed(self, tmp_path, capsys, argv, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**CONFIG, **config}))
+        out = tmp_path / "out"
+        flag = "--out" if argv[0] == "simulate" else "--out-dir"
+        rc, _, err = run(capsys, *argv, "--config", str(cfg), flag, str(out))
+        assert rc == 2, err
+        assert err == f"config error: {key} must be >= 0, got {-1 if '-1' in argv else -5}\n"
+        assert not out.exists() or list(out.iterdir()) == []
+
+    def test_ranker_params_reject_a_negative_seed(self):
+        with pytest.raises(feedaudit.ConfigError, match="seed must be >= 0, got -1"):
+            feedaudit.RankerParams(seed=-1)
+
+
+class TestOutputPaths:
+    """An output path that cannot be written exits 3 with a data error
+    naming it, before anything is simulated, analysed or written."""
+
+    @pytest.mark.parametrize("command", ["pipeline", "report"])
+    def test_out_dir_is_a_file(self, ws, tmp_path, capsys, command):
+        target = tmp_path / "taken"
+        target.write_text("keep")
+        argv = [command, "--config", str(ws["cfg"]), "--out-dir", str(target)]
+        if command == "report":
+            argv += ["--input", str(ws["log"])]
+        rc, _, err = run(capsys, *argv)
+        assert rc == 3, err
+        assert err == f"data error: cannot make output directory {target}: File exists\n"
+        assert target.read_text() == "keep"
+
+    @pytest.mark.parametrize("flag", ["--out", "--authors-out"])
+    def test_simulate_out_is_a_directory(self, ws, tmp_path, capsys, flag):
+        log, roster = tmp_path / "log.csv", tmp_path / "authors.csv"
+        paths = {"--out": log, "--authors-out": roster, flag: tmp_path}
+        rc, _, err = run(
+            capsys, "simulate", "--config", str(ws["cfg"]), "--out", str(paths["--out"]),
+            "--authors-out", str(paths["--authors-out"]),
+        )
+        assert rc == 3, err
+        assert err == f"data error: output file is a directory: {tmp_path}\n"
+        assert sorted(tmp_path.iterdir()) == []
+
+    def test_out_in_no_directory(self, ws, tmp_path, capsys):
+        path = tmp_path / "missing" / "log.csv"
+        rc, _, err = run(capsys, "simulate", "--config", str(ws["cfg"]), "--out", str(path))
+        assert rc == 3, err
+        assert err == f"data error: no directory for output file: {path}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["amplify", "--partisan", "left"],
+            ["gini"],
+            ["topk", "--target-group", "left"],
+            ["stats"],
+            ["lorenz"],
+        ],
+    )
+    def test_report_out_is_a_directory(self, ws, tmp_path, capsys, argv):
+        rc, out, err = run(capsys, *argv, "--input", str(ws["log"]), "--out", str(tmp_path))
+        assert rc == 3, err
+        assert err == f"data error: output file is a directory: {tmp_path}\n"
+        assert out == "" and sorted(tmp_path.iterdir()) == []
+
+
 class TestGini:
     def test_happy_path(self, ws, tmp_path, capsys):
         path = tmp_path / "gini.csv"

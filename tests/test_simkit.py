@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 from datetime import timedelta
 
 import numpy as np
@@ -470,6 +472,136 @@ class TestSamplerDifferential:
                 assert a.dtype == b.dtype and np.array_equal(a, b), name
             else:
                 assert a == b, name
+
+
+@pytest.fixture
+def split(monkeypatch):
+    """Fleets sampled in two processes whatever their size and the usable
+    CPUs. Yields the pids of the workers forked; none may be left after."""
+    forks = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(simkit, "_workers", lambda: 2)
+    monkeypatch.setattr(simkit, "_SPLIT_CAPTURES", 0)
+    yield forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _outcome(*args):
+    """The batch ``run_fleet(*args)`` builds, or the type and text of its error."""
+    try:
+        return batch_of(run_fleet(*args))[0]
+    except (ConfigError, DataError) as exc:
+        return type(exc), str(exc)
+
+
+def _split_fleet(monkeypatch, *args):
+    """``run_fleet(*args)`` as it runs, once its batch, down to each
+    column's dtype and the id table, or its error, is checked to be the
+    serial loop's."""
+    got = _outcome(*args)
+    with monkeypatch.context() as m:
+        m.setattr(simkit, "_workers", lambda: 1)
+        want = _outcome(*args)
+    if isinstance(want, tuple):
+        assert got == want
+        return got
+    assert len(got) == len(want)
+    for name in _BATCH_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+    return got
+
+
+def _reversed(world, fleet):
+    return make_monitors(world, fleet, 11)[::-1]
+
+
+def _follows_all(monitor_id):
+    def monitors(world, fleet):
+        return [*make_monitors(world, fleet, 11), MonitorAccount(monitor_id, GroupLabel.LEFT, frozenset(world.ids), fleet.start)]
+
+    return monitors
+
+
+class TestSplitFleet:
+    """``run_fleet`` with its captures split between two processes,
+    against the serial loop."""
+
+    @pytest.mark.parametrize(
+        "world_kw, fleet_kw, params_kw, monitors",
+        [
+            pytest.param({}, {"monitors_per_group": 2, "duration_days": 2}, {}, None, id="default-world"),
+            pytest.param(
+                {"n_authors": 5000}, {"monitors_per_group": 3, "duration_days": 1, "session_length": 100},
+                {}, None, id="5000-authors",
+            ),
+            pytest.param({}, {"duration_days": 3, "neutral_churn_days": 1}, {}, None, id="neutral-churn"),
+            pytest.param({}, {}, {}, _reversed, id="reversed-monitors"),
+            pytest.param({}, {"duration_days": 2}, {"rank_jitter": 0.0}, None, id="rank-jitter-0"),
+            pytest.param({}, {"duration_days": 2}, {"oon_mix": 0.0}, None, id="oon-mix-0"),
+            pytest.param({}, {"duration_days": 2}, {"oon_mix": 1.0}, None, id="oon-mix-1"),
+            pytest.param({}, {}, {}, _one_follow, id="one-monitor"),
+        ],
+    )
+    def test_matches_serial(self, monkeypatch, split, world_kw, fleet_kw, params_kw, monitors):
+        world = build_world(seed=11, **world_kw)
+        fleet = small_fleet(**fleet_kw)
+        got = _split_fleet(monkeypatch, world, fleet, RankerParams(seed=11, **params_kw), monitors and monitors(world, fleet))
+        assert len(got) > 1 and len(split) == 1
+
+    def test_no_monitors(self, monkeypatch, split):
+        world = build_world(seed=11)
+        assert len(_split_fleet(monkeypatch, world, small_fleet(), RankerParams(seed=11), [])) == 0
+        assert not split
+
+    @pytest.mark.parametrize("where", ["parent", "worker", "both"])
+    def test_first_error_in_capture_order(self, monkeypatch, split, where):
+        # a monitor that follows every author has no out-of-network
+        # candidates; "aaa" sorts before every preset monitor, "zzz" after
+        world = build_world(seed=11)
+        fleet = small_fleet()
+        monitors = make_monitors(world, fleet, 11)
+        bad = {"parent": ["aaa"], "worker": ["zzz"], "both": ["aaa", "zzz"]}[where]
+        monitors += tuple(MonitorAccount(m, GroupLabel.LEFT, frozenset(world.ids), fleet.start) for m in bad)
+        got = _split_fleet(monkeypatch, world, fleet, RankerParams(seed=11), monitors)
+        assert got == (DataError, f"monitor {bad[0]} follows every author; no out-of-network candidates")
+        assert len(split) == 1
+
+    @pytest.mark.parametrize("parts", [0, 1])
+    def test_worker_stops_early(self, monkeypatch, split, parts):
+        # the worker leaves after sending ``parts`` sessions: this process
+        # samples the worker's captures again
+        def stopped(batch, out):
+            for i in range(parts):
+                pickle.dump(batch.part(i, i + 1), out, pickle.HIGHEST_PROTOCOL)
+            out.flush()
+            os._exit(0)
+
+        monkeypatch.setattr(simkit, "_send_batch", stopped)
+        world = build_world(seed=11)
+        got = _split_fleet(monkeypatch, world, small_fleet(), RankerParams(seed=11))
+        assert len(got) == 48 and len(split) == 1
+
+    @pytest.mark.parametrize("workers, captures", [(1, 0), (2, 49)])
+    def test_one_process(self, monkeypatch, split, workers, captures):
+        # one usable worker, or a fleet of fewer captures than the threshold
+        monkeypatch.setattr(simkit, "_workers", lambda: workers)
+        monkeypatch.setattr(simkit, "_SPLIT_CAPTURES", captures)
+        world = build_world(seed=11)
+        assert len(run_fleet(world, small_fleet(), RankerParams(seed=11))) == 48
+        assert not split
 
 
 class TestRealizedComposition:
