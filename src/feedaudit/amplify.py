@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from itertools import repeat
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import AnalysisError, ConfigError, DataError
-from .metrics import ExposureTable, author_index, group_exposures
+from .metrics import ExposureTable, _authors, _stack, group_exposures
 from .model import AuthorId, LEAN_UNKNOWN
 from .mwu import MODE_AUTO, _mann_whitney_arrays, mann_whitney_u
 
@@ -34,8 +35,14 @@ def amplification_ratio(
     return ((partisan_mean + 1.0) / (baseline_mean + 1.0) - 1.0) * 100.0
 
 
-@dataclass(frozen=True)
-class AmplificationRow:
+# A NamedTuple, so that a report makes its rows with ``tuple.__new__``,
+# without a Python call per row. The dataclass decorator over it makes
+# ``dataclasses.replace``, ``asdict`` and ``fields`` work on rows and
+# assignment raise FrozenInstanceError. Repr, equality and hashing are
+# the tuple's, so a row also equals a plain tuple of its fields, and
+# ``fields`` gives each field's tuple accessor as its default.
+@dataclass(frozen=True, init=False, repr=False, eq=False)
+class AmplificationRow(NamedTuple):
     """Amplification result for one author."""
 
     author_id: AuthorId
@@ -85,11 +92,11 @@ def build_amplification_report(
 
     n_part = len(partisan_tables)
     n_base = len(baseline_tables)
-    index = author_index([*partisan_tables, *baseline_tables])
-    part, partisan_means, partisan_seen = group_exposures(partisan_tables, index)
-    base, baseline_means, baseline_seen = group_exposures(baseline_tables, index)
+    ids, codes, values, bounds = _stack([*partisan_tables, *baseline_tables])
+    authors, codes = _authors(ids, codes)
+    part, partisan_means, partisan_seen = group_exposures(codes, values, bounds[: n_part + 1], len(authors))
+    base, baseline_means, baseline_seen = group_exposures(codes, values, bounds[n_part:], len(authors))
     pooled = (partisan_means * n_part + baseline_means * n_base) / (n_part + n_base)
-    authors = list(index)
     id_rank = np.empty(len(authors), dtype=np.intp)
     id_rank[sorted(range(len(authors)), key=authors.__getitem__)] = np.arange(len(authors))
     candidates = _ranked(pooled, id_rank)[:top]
@@ -108,19 +115,18 @@ def build_amplification_report(
         for i in np.flatnonzero(~seen).tolist():
             means[i] = 0.0
     pvalues = pvalues[order]
-    return tuple(
-        map(
-            AmplificationRow,
-            author_ids,
-            map((leans or {}).get, author_ids, repeat(LEAN_UNKNOWN)),
-            p_means,
-            b_means,
-            list(ratios[order]),
-            statistics[order].tolist(),
-            pvalues.tolist(),
-            (pvalues < alpha).tolist(),
-        )
+    columns = (
+        author_ids,
+        map((leans or {}).get, author_ids, repeat(LEAN_UNKNOWN)),
+        p_means,
+        b_means,
+        list(ratios[order]),
+        statistics[order].tolist(),
+        pvalues.tolist(),
+        (pvalues < alpha).tolist(),
     )
+    # tuple.__new__ makes each row from its fields without a Python call.
+    return tuple(map(partial(tuple.__new__, AmplificationRow), zip(*columns)))
 
 
 @dataclass(frozen=True)

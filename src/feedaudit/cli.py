@@ -21,9 +21,12 @@ import os
 import sys
 from datetime import datetime
 from enum import Enum
+from itertools import pairwise
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
+
+import numpy as np
 
 from . import __version__
 from .amplify import (
@@ -35,6 +38,7 @@ from .errors import AnalysisError, ConfigError, DataError, FeedAuditError
 from .inequality import GiniReport, average_lorenz, group_gini_distribution, lorenz
 from .metrics import (
     ExposureTable,
+    _stack,
     build_exposure_table,
     exposure_share,
     group_mean_exposure,
@@ -481,7 +485,8 @@ def _lorenz_rows(
     for group in GROUP_ORDER:
         if group not in tables:
             continue
-        curves = [lorenz(list(t.entries.values())) for t in tables[group]]
+        values, bounds = _stack(tables[group])[2:]
+        curves = [lorenz(values[a:b]) for a, b in pairwise(bounds)]
         band = average_lorenz(curves, grid_size=grid_size)
         rows.extend(
             dict(zip(_LORENZ_COLUMNS, (group.value, x, m, s)))
@@ -559,7 +564,7 @@ def cmd_amplify(args: argparse.Namespace) -> int:
     top = args.k if args.k is not None else analysis["top"]
     if args.all:
         # at least 1: a log with no observed author gives the empty report
-        top = max(1, len({a for t in (*tables[partisan], *tables[baseline]) for a in t.entries}))
+        top = max(1, len(np.unique(_stack([*tables[partisan], *tables[baseline]])[1])))
     alpha = args.alpha if args.alpha is not None else analysis["alpha_amplify"]
     rows = build_amplification_report(
         tables[partisan],

@@ -11,13 +11,13 @@ the Mann-Whitney U test.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, pairwise
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import AnalysisError, ConfigError, DataError
-from .metrics import ExposureTable
+from .metrics import ExposureTable, _stack
 from .model import GROUP_ORDER, GroupLabel
 from .mwu import MODE_AUTO, mann_whitney_u
 
@@ -172,9 +172,8 @@ def group_gini_distribution(
             raise DataError(
                 f"group {key!s} has {len(tables)} monitor(s); need at least 2"
             )
-        per_group[str(key)] = tuple(
-            gini(list(t.entries.values())) for t in tables
-        )
+        values, bounds = _stack(tables)[2:]
+        per_group[str(key)] = tuple(gini(values[a:b]) for a, b in pairwise(bounds))
     comparisons = []
     for ga, gb in combinations(per_group, 2):
         res = mann_whitney_u(per_group[ga], per_group[gb], mode=mode)

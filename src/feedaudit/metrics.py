@@ -7,14 +7,23 @@ count across all sessions, and scaled by 1,000. Scope filters (e.g.
 out-of-network only) restrict which appearances count toward the
 numerator; the denominator always counts every tweet the monitor saw,
 so exposures stay comparable across scopes.
+
+A table that ``build_exposure_table`` makes holds arrays: the codes of
+the authors it saw, into the id list of the batch its sessions came
+from, in order of first appearance, and their float64 exposures. Its
+``entries`` read like a dict of numpy scalars, which is built only when
+an author is looked up. The consumers below read the arrays and stack
+tables of one batch by their codes, so they make no per-author Python
+object.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from collections.abc import ItemsView, Mapping, ValuesView
+from dataclasses import dataclass
 from itertools import accumulate, chain, compress
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -42,6 +51,57 @@ ATTR_DISPLAYED = "displayed"
 _ATTRIBUTIONS = (ATTR_ORIGINAL, ATTR_DISPLAYED)
 
 
+class _Entries(Mapping):
+    """The read-only entries of a built table, kept as arrays: ``codes``
+    into the author ids ``ids``, in order of first appearance, and each
+    code's float64 ``exposure``.
+
+    Keys, values and items are read from the arrays, the values as the
+    numpy scalars a dict of them would hold. Looking an author up needs a
+    dict, which is built the first time it is needed.
+    """
+
+    __slots__ = ("ids", "codes", "exposure", "_dict")
+
+    def __init__(self, ids: Sequence[AuthorId], codes: np.ndarray, exposure: np.ndarray) -> None:
+        codes.flags.writeable = exposure.flags.writeable = False
+        self.ids, self.codes, self.exposure = ids, codes, exposure
+        self._dict: dict[AuthorId, float] | None = None
+
+    def _lookup(self) -> dict[AuthorId, float]:
+        if self._dict is None:
+            self._dict = dict(self.items())
+        return self._dict
+
+    def __getitem__(self, author_id: AuthorId) -> float:
+        return self._lookup()[author_id]
+
+    def __iter__(self) -> Iterator[AuthorId]:
+        return map(self.ids.__getitem__, self.codes.tolist())
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+
+class _Values(ValuesView):
+    def __iter__(self) -> Iterator[float]:
+        return iter(self._mapping.exposure)
+
+
+class _Items(ItemsView):
+    def __iter__(self) -> Iterator[tuple[AuthorId, float]]:
+        return zip(self._mapping, self._mapping.exposure)
+
+
 @dataclass(frozen=True)
 class ExposureTable:
     """Per-author weighted occurrences for one monitor.
@@ -49,6 +109,12 @@ class ExposureTable:
     ``entries`` maps author id to exposure per 1,000 tweets; authors
     that never appeared (in scope) are absent and implicitly have
     exposure 0. ``total_tweets`` is the all-scope denominator N.
+
+    A table built by hand keeps the mapping it is given. The entries of
+    one from ``build_exposure_table`` are a read-only mapping over its
+    author codes and exposure array, with the keys, order and numpy
+    float64 values of the dict it used to hold; the analysis functions
+    read the arrays.
     """
 
     monitor_id: str
@@ -139,23 +205,25 @@ def build_exposure_table(
     in_scope = (flags & excluded) == 0
     codes = (batch.author if attribution == ATTR_ORIGINAL else batch.shown)[rows][in_scope]
     sums = np.bincount(codes, weights=_row_weights(model, batch.rank[rows], lengths)[in_scope])
-    # Each author's first row in scope, then the authors in that order.
-    first = np.full(len(sums), len(codes))
-    np.minimum.at(first, codes, np.arange(len(codes)))
-    is_first = np.zeros(len(codes), dtype=bool)
-    is_first[first[first < len(codes)]] = True
-    present = codes[is_first]
-
-    scale = 1000.0 / total
-    entries = dict(zip(map(batch.ids.__getitem__, present.tolist()), sums[present] * scale))
+    present = _first_seen(codes, len(sums))
     return ExposureTable(
         monitor_id=monitor_ids.pop(),
         total_tweets=total,
-        entries=entries,
+        entries=_Entries(batch.ids, present, sums[present] * (1000.0 / total)),
         scope=scope,
         attribution=attribution,
         group=group,
     )
+
+
+def _first_seen(codes: np.ndarray, size: int) -> np.ndarray:
+    """The distinct values of ``codes``, each below ``size``, in order of
+    first appearance."""
+    first = np.full(size, len(codes))
+    np.minimum.at(first, codes, np.arange(len(codes)))
+    is_first = np.zeros(len(codes), dtype=bool)
+    is_first[first[first < len(codes)]] = True
+    return codes[is_first]
 
 
 def weighted_occurrence(
@@ -181,54 +249,81 @@ def top_k(
 
     A partition first keeps every author whose exposure is at least the
     k-th largest, so the sort runs on about k items; it is skipped when
-    an exposure is NaN, which orders no values.
+    an exposure is NaN, which orders no values. A built table's arrays
+    are read in place; any other mapping gives its own values.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     entries = exposures.entries if isinstance(exposures, ExposureTable) else exposures
-    items = entries.items()
-    if k < len(entries):
-        values = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
-        if not np.isnan(values).any():
-            kth = np.partition(values, -k)[-k]
-            items = compress(items, (values >= kth).tolist())
+    built = isinstance(entries, _Entries)
+    values = entries.exposure if built else np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
+    keep = np.ones(len(values), dtype=bool)
+    if k < len(values) and not np.isnan(values).any():
+        keep = values >= np.partition(values, -k)[-k]
+    if built:
+        items = zip(map(entries.ids.__getitem__, entries.codes[keep].tolist()), values[keep])
+    else:
+        items = compress(entries.items(), keep.tolist())
     return heapq.nsmallest(k, items, key=lambda kv: (-kv[1], kv[0]))
 
 
-def author_index(tables: Iterable[ExposureTable]) -> dict[AuthorId, int]:
-    """Every author of ``tables`` mapped to its position in order of first
-    appearance, table by table."""
-    authors = dict.fromkeys(chain.from_iterable(t.entries for t in tables))
-    return dict(zip(authors, range(len(authors))))
+def _stack(
+    tables: Sequence[ExposureTable],
+) -> tuple[Sequence[AuthorId], np.ndarray, np.ndarray, list[int]]:
+    """The entries of at least one table end to end in one id space: the
+    author ids, each entry's code into them and its exposure, and the
+    bounds of the tables, whose entries are ``bounds[j]:bounds[j + 1]``.
+
+    Built tables whose sessions came from one batch share its ids and are
+    stacked by their codes. Any other set, such as tables built by hand
+    from a dict, is coded anew in order of first appearance.
+    """
+    entries = [t.entries for t in tables]
+    bounds = list(accumulate(map(len, entries), initial=0))
+    first = entries[0]
+    if all(isinstance(e, _Entries) and e.ids is first.ids for e in entries):
+        codes = np.concatenate([e.codes for e in entries])
+        return first.ids, codes, np.concatenate([e.exposure for e in entries]), bounds
+    authors = dict.fromkeys(chain.from_iterable(entries))
+    position = dict(zip(authors, range(len(authors))))
+    codes = np.fromiter(map(position.__getitem__, chain.from_iterable(entries)), np.intp, bounds[-1])
+    values = np.fromiter(chain.from_iterable(e.values() for e in entries), np.float64, bounds[-1])
+    return list(authors), codes, values, bounds
+
+
+def _authors(ids: Sequence[AuthorId], codes: np.ndarray) -> tuple[list[AuthorId], np.ndarray]:
+    """The authors of ``codes`` in order of first appearance, and each
+    code's position among them."""
+    present = _first_seen(codes, len(ids))
+    position = np.empty(len(ids), dtype=np.intp)
+    position[present] = np.arange(len(present))
+    return list(map(ids.__getitem__, present.tolist())), position[codes]
 
 
 def group_exposures(
-    tables: Sequence[ExposureTable], index: Mapping[AuthorId, int]
+    codes: np.ndarray, values: np.ndarray, bounds: Sequence[int], n_authors: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One group's exposures as arrays over the authors of ``index``.
+    """One group's exposures as arrays over ``n_authors`` authors, from
+    stacked entries (see ``_stack``) whose codes are author positions:
+    monitor j's entries are ``bounds[j]:bounds[j + 1]``.
 
-    Returns the (authors x monitors) matrix whose row ``index[a]`` holds
-    author a's exposure on each monitor (0 where a monitor never saw a),
-    each author's mean over the monitors, and which authors some table
-    holds. Every table's entries are scattered at once. The sums behind
-    the means come from one weighted ``np.bincount``, which adds an
-    author's exposures in table order, so they have the bits of summing
-    the tables entry by entry into a dict; a pairwise ``np.sum`` would
-    not.
+    Returns the (authors x monitors) matrix whose row i holds author i's
+    exposure on each monitor (0 where a monitor never saw the author),
+    each author's mean over the monitors, and which authors some monitor
+    saw. The sums behind the means come from one weighted
+    ``np.bincount``, which adds an author's exposures in monitor order,
+    so they have the bits of summing the tables entry by entry into a
+    dict; a pairwise ``np.sum`` would not.
     """
-    sizes = [len(t.entries) for t in tables]
-    total = sum(sizes)
-    authors = chain.from_iterable(t.entries for t in tables)
-    codes = np.fromiter(map(index.__getitem__, authors), dtype=np.intp, count=total)
-    values = np.fromiter(
-        chain.from_iterable(t.entries.values() for t in tables), dtype=np.float64, count=total
-    )
-    matrix = np.zeros((len(index), len(tables)))
-    matrix[codes, np.repeat(np.arange(len(tables)), sizes)] = values
-    seen = np.zeros(len(index), dtype=bool)
+    rows = slice(bounds[0], bounds[-1])
+    codes, values = codes[rows], values[rows]
+    monitors = len(bounds) - 1
+    matrix = np.zeros((n_authors, monitors))
+    matrix[codes, np.repeat(np.arange(monitors), np.diff(bounds))] = values
+    seen = np.zeros(n_authors, dtype=bool)
     seen[codes] = True
-    sums = np.bincount(codes, weights=values, minlength=len(index))
-    return matrix, sums / len(tables), seen
+    sums = np.bincount(codes, weights=values, minlength=n_authors)
+    return matrix, sums / monitors, seen
 
 
 def group_mean_exposure(tables: Sequence[ExposureTable]) -> dict[AuthorId, float]:
@@ -240,8 +335,12 @@ def group_mean_exposure(tables: Sequence[ExposureTable]) -> dict[AuthorId, float
     """
     if not tables:
         raise DataError("cannot average zero exposure tables")
-    index = author_index(tables)
-    return dict(zip(index, group_exposures(tables, index)[1]))
+    ids, codes, values, _ = _stack(tables)
+    authors, codes = _authors(ids, codes)
+    # The means of group_exposures without its matrix: one bincount adds
+    # each author's exposures in table order.
+    sums = np.bincount(codes, weights=values, minlength=len(authors))
+    return dict(zip(authors, sums / len(tables)))
 
 
 def exposure_share(

@@ -195,7 +195,18 @@ def _exact_pvalue(doubled: tuple[int, ...], k: int, observed: int) -> float:
 def _normal_pvalues(u_a: np.ndarray, tie_terms: np.ndarray, n: int, m: int) -> np.ndarray:
     """Normal-approximation p-values for the U_a statistics ``u_a`` with
     tie terms ``tie_terms``, one per test. erfc, exp and the cube go
-    through ``math`` one value at a time; see the module docstring."""
+    through ``math`` one value at a time; see the module docstring.
+
+    Heavy-zero rows repeat their (U_a, tie term) pair, so each distinct
+    pair is computed once and its p-value gathered for every row.
+    """
+    order = np.lexsort((tie_terms, u_a))
+    u_a, tie_terms = u_a[order], tie_terms[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = (u_a[1:] != u_a[:-1]) | (tie_terms[1:] != tie_terms[:-1])
+    inverse = np.empty(len(order), dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    u_a, tie_terms = u_a[new], tie_terms[new]
     big_n = n + m
     big_u = np.maximum(u_a, n * m - u_a)
 
@@ -215,7 +226,7 @@ def _normal_pvalues(u_a: np.ndarray, tie_terms: np.ndarray, n: int, m: int) -> n
     tail += (g2 / 24.0) * (cube - 3.0 * z) * gauss * _INV_SQRT_2PI
     tail = np.minimum(np.maximum(tail, 0.0), 1.0)
     p[live] = np.minimum(1.0, 2.0 * tail)
-    return p
+    return p[inverse]
 
 
 def _mann_whitney_arrays(

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +95,56 @@ class TestAmplificationRatio:
         assert amplification_ratio(base + bump, baseline) >= amplification_ratio(
             base, baseline
         )
+
+
+class TestRowContract:
+    """What callers may rely on in an ``AmplificationRow``."""
+
+    FIELDS = (
+        "author_id", "lean_label", "partisan_mean", "baseline_mean",
+        "ratio_pct", "statistic", "pvalue", "significant",
+    )
+
+    def row(self, **changes):
+        fields = dict(zip(self.FIELDS, ("u1", "left", 1.5, 0.0, 150.0, 3.0, 0.25, False)))
+        return AmplificationRow(**{**fields, **changes})
+
+    def test_fields_in_order(self):
+        assert tuple(inspect.signature(AmplificationRow).parameters) == self.FIELDS
+        row = self.row()
+        assert [getattr(row, name) for name in self.FIELDS] == ["u1", "left", 1.5, 0.0, 150.0, 3.0, 0.25, False]
+
+    def test_repr(self):
+        assert repr(self.row()) == (
+            "AmplificationRow(author_id='u1', lean_label='left', partisan_mean=1.5, "
+            "baseline_mean=0.0, ratio_pct=150.0, statistic=3.0, pvalue=0.25, significant=False)"
+        )
+        assert repr(self.row(partisan_mean=np.float64(1.5))).startswith(
+            "AmplificationRow(author_id='u1', lean_label='left', partisan_mean=np.float64(1.5), "
+        )
+
+    def test_equality_and_hash(self):
+        assert self.row() == self.row()
+        assert hash(self.row()) == hash(self.row())
+        assert len({self.row(), self.row()}) == 1
+        for name, value in zip(self.FIELDS, ("u2", "right", 2.0, 1.0, 25.0, 4.0, 0.5, True)):
+            assert self.row(**{name: value}) != self.row(), name
+
+    def test_immutable(self):
+        row = self.row()
+        for name in self.FIELDS:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(row, name, None)
+        with pytest.raises(AttributeError):
+            row.extra = 1
+        assert row == self.row()
+
+    def test_dataclass_functions(self):
+        row = self.row()
+        assert dataclasses.is_dataclass(row)
+        assert tuple(f.name for f in dataclasses.fields(row)) == self.FIELDS
+        assert dataclasses.replace(row, pvalue=0.5) == self.row(pvalue=0.5)
+        assert dataclasses.asdict(row) == dict(zip(self.FIELDS, ("u1", "left", 1.5, 0.0, 150.0, 3.0, 0.25, False)))
 
 
 class TestBuildReport:

@@ -576,6 +576,31 @@ PIPELINE_ARTIFACTS = {
 }
 
 
+class TestTableArrays:
+    def test_commands_read_table_arrays(self, ws, tmp_path, capsys, monkeypatch):
+        # Every command renders from the arrays of its exposure tables:
+        # none reads a table's entries one author at a time.
+        from feedaudit.metrics import _Entries
+
+        def per_author(*args):
+            raise AssertionError("a command read exposure table entries per author")
+
+        for name in ("_lookup", "__iter__", "values", "items"):
+            monkeypatch.setattr(_Entries, name, per_author)
+        log, authors = str(ws["log"]), str(ws["authors"])
+        for argv in (
+            ("gini", "--input", log),
+            ("lorenz", "--input", log, "--out", str(tmp_path / "lorenz.csv")),
+            ("topk", "--input", log, "--target-group", "left", "--authors", authors),
+            ("amplify", "--input", log, "--partisan", "left", "--authors", authors),
+            ("amplify", "--input", log, "--partisan", "right", "--all"),
+            ("report", "--input", log, "--authors", authors, "--out-dir", str(tmp_path / "rep")),
+            ("pipeline", "--config", str(ws["cfg"]), "--out-dir", str(tmp_path / "run")),
+        ):
+            rc, _, err = run(capsys, *argv)
+            assert rc == 0, (argv, err)
+
+
 class TestPipeline:
     def test_artifacts_and_manifest(self, ws, tmp_path, capsys):
         out = tmp_path / "run"

@@ -326,6 +326,25 @@ class TestBatched:
             assert float.hex(res.pvalue) == float.hex(pvalue), i
         assert all(res.pvalue == 1.0 for res in results[::97])
 
+    def test_normal_pvalues_once_per_distinct_pair(self, monkeypatch):
+        # Rows that repeat a (U_a, tie term) pair share one p-value, bit
+        # for bit the value of the pair on its own; all-tied rows
+        # (variance 0) take p = 1 without a computation.
+        n, m = 12, 9
+        rng = np.random.default_rng(7)
+        u_a = rng.integers(0, 2 * n * m + 1, size=400) * 0.5
+        ties = rng.choice([0, 6, 24, 60, 9240], size=400).astype(np.int64)
+        ties[::50] = (n + m) ** 3 - (n + m)
+        alone = [mwu._normal_pvalues(u_a[i : i + 1], ties[i : i + 1], n, m)[0] for i in range(400)]
+        calls = []
+        erfc = math.erfc
+        monkeypatch.setattr(math, "erfc", lambda x: calls.append(x) or erfc(x))
+        p = mwu._normal_pvalues(u_a, ties, n, m)
+        assert [float.hex(float(x)) for x in p] == [float.hex(float(x)) for x in alone]
+        live = {(u, t) for u, t in zip(u_a.tolist(), ties.tolist()) if t != (n + m) ** 3 - (n + m)}
+        assert len(calls) == len(live) < 400
+        assert (p[::50] == 1.0).all()
+
     def test_auto_mixes_exact_and_normal_rows(self):
         # n <= 8: auto takes the exact path on tie-free rows and the
         # normal path on tied ones, across three blocks.
