@@ -12,7 +12,7 @@ groups; a monitor that never saw the author contributes exposure 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from functools import partial
 from itertools import repeat
 from typing import Mapping, NamedTuple, Sequence
@@ -38,9 +38,9 @@ def amplification_ratio(
 # A NamedTuple, so that a report makes its rows with ``tuple.__new__``,
 # without a Python call per row. The dataclass decorator over it makes
 # ``dataclasses.replace``, ``asdict`` and ``fields`` work on rows and
-# assignment raise FrozenInstanceError. Repr, equality and hashing are
-# the tuple's, so a row also equals a plain tuple of its fields, and
-# ``fields`` gives each field's tuple accessor as its default.
+# assignment raise FrozenInstanceError. Repr, equality, hashing and
+# ordering are the tuple's: a row equals a plain tuple of its fields,
+# rows sort field by field, and a row unpacks into its eight fields.
 @dataclass(frozen=True, init=False, repr=False, eq=False)
 class AmplificationRow(NamedTuple):
     """Amplification result for one author."""
@@ -53,6 +53,12 @@ class AmplificationRow(NamedTuple):
     statistic: float
     pvalue: float
     significant: bool
+
+
+# The decorator takes each field's tuple accessor for its default; every
+# field is required, as ``fields`` reports it.
+for _field in fields(AmplificationRow):
+    _field.default = MISSING
 
 
 def _ranked(values: np.ndarray, id_rank: np.ndarray) -> np.ndarray:

@@ -249,21 +249,16 @@ def top_k(
 
     A partition first keeps every author whose exposure is at least the
     k-th largest, so the sort runs on about k items; it is skipped when
-    an exposure is NaN, which orders no values. A built table's arrays
-    are read in place; any other mapping gives its own values.
+    an exposure is NaN, which orders no values.
     """
     if k < 1:
         raise ConfigError(f"k must be >= 1, got {k}")
     entries = exposures.entries if isinstance(exposures, ExposureTable) else exposures
-    built = isinstance(entries, _Entries)
-    values = entries.exposure if built else np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
+    values = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
     keep = np.ones(len(values), dtype=bool)
     if k < len(values) and not np.isnan(values).any():
         keep = values >= np.partition(values, -k)[-k]
-    if built:
-        items = zip(map(entries.ids.__getitem__, entries.codes[keep].tolist()), values[keep])
-    else:
-        items = compress(entries.items(), keep.tolist())
+    items = compress(entries.items(), keep.tolist())
     return heapq.nsmallest(k, items, key=lambda kv: (-kv[1], kv[0]))
 
 
@@ -335,12 +330,9 @@ def group_mean_exposure(tables: Sequence[ExposureTable]) -> dict[AuthorId, float
     """
     if not tables:
         raise DataError("cannot average zero exposure tables")
-    ids, codes, values, _ = _stack(tables)
+    ids, codes, values, bounds = _stack(tables)
     authors, codes = _authors(ids, codes)
-    # The means of group_exposures without its matrix: one bincount adds
-    # each author's exposures in table order.
-    sums = np.bincount(codes, weights=values, minlength=len(authors))
-    return dict(zip(authors, sums / len(tables)))
+    return dict(zip(authors, group_exposures(codes, values, bounds, len(authors))[1]))
 
 
 def exposure_share(

@@ -130,6 +130,15 @@ class TestRowContract:
         for name, value in zip(self.FIELDS, ("u2", "right", 2.0, 1.0, 25.0, 4.0, 0.5, True)):
             assert self.row(**{name: value}) != self.row(), name
 
+    def test_tuple_semantics(self):
+        values = ("u1", "left", 1.5, 0.0, 150.0, 3.0, 0.25, False)
+        row = self.row()
+        assert row == values and hash(row) == hash(values)
+        assert len(row) == 8 and tuple(row) == values
+        author_id, *_, significant = row
+        assert (author_id, significant) == ("u1", False)
+        assert sorted([self.row(author_id="u2"), row]) == [row, self.row(author_id="u2")]
+
     def test_immutable(self):
         row = self.row()
         for name in self.FIELDS:
@@ -143,6 +152,7 @@ class TestRowContract:
         row = self.row()
         assert dataclasses.is_dataclass(row)
         assert tuple(f.name for f in dataclasses.fields(row)) == self.FIELDS
+        assert all(f.default is dataclasses.MISSING for f in dataclasses.fields(row))
         assert dataclasses.replace(row, pvalue=0.5) == self.row(pvalue=0.5)
         assert dataclasses.asdict(row) == dict(zip(self.FIELDS, ("u1", "left", 1.5, 0.0, 150.0, 3.0, 0.25, False)))
 
