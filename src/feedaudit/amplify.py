@@ -22,7 +22,7 @@ import numpy as np
 from .errors import AnalysisError, ConfigError, DataError
 from .metrics import ExposureTable, _authors, _stack, group_exposures
 from .model import AuthorId, LEAN_UNKNOWN
-from .mwu import MODE_AUTO, _mann_whitney_arrays, mann_whitney_u
+from .mwu import MODE_AUTO, _mann_whitney_entries, mann_whitney_u
 
 
 def amplification_ratio(
@@ -88,6 +88,12 @@ def build_amplification_report(
     Rows are sorted by descending ratio, ties broken by author id.
     Both groups need at least two monitors for the rank test to be
     meaningful.
+
+    The tables are stacked once (``metrics._stack``). Group means come
+    from ``group_exposures``, and each candidate's rank test from its
+    non-zero entries in the stack: the partisan tables' entries are
+    sample A, the baseline's sample B, and every monitor without an
+    entry, or with an explicit 0.0, counts exposure 0.
     """
     if top < 1:
         raise ConfigError(f"top must be >= 1, got {top}")
@@ -100,13 +106,21 @@ def build_amplification_report(
     n_base = len(baseline_tables)
     ids, codes, values, bounds = _stack([*partisan_tables, *baseline_tables])
     authors, codes = _authors(ids, codes)
-    part, partisan_means, partisan_seen = group_exposures(codes, values, bounds[: n_part + 1], len(authors))
-    base, baseline_means, baseline_seen = group_exposures(codes, values, bounds[n_part:], len(authors))
+    partisan_means, partisan_seen = group_exposures(codes, values, bounds[: n_part + 1], len(authors))
+    baseline_means, baseline_seen = group_exposures(codes, values, bounds[n_part:], len(authors))
     pooled = (partisan_means * n_part + baseline_means * n_base) / (n_part + n_base)
     id_rank = np.empty(len(authors), dtype=np.intp)
     id_rank[sorted(range(len(authors)), key=authors.__getitem__)] = np.arange(len(authors))
     candidates = _ranked(pooled, id_rank)[:top]
-    statistics, pvalues, _ = _mann_whitney_arrays(part[candidates], base[candidates], mode)
+    # The tests take each candidate's non-zero entries straight from the
+    # stack: an entry's author position maps to its candidate's row.
+    row = np.full(len(authors), -1, dtype=np.intp)
+    row[candidates] = np.arange(len(candidates))
+    row = row[codes]
+    tested = np.flatnonzero((row >= 0) & (values != 0.0))
+    statistics, pvalues, _ = _mann_whitney_entries(
+        row[tested], values[tested], tested < bounds[n_part], len(candidates), n_part, n_base, mode
+    )
     ratios = amplification_ratio(partisan_means[candidates], baseline_means[candidates])
     order = _ranked(ratios, id_rank[candidates])
     ranked = candidates[order]
@@ -169,9 +183,10 @@ def group_amplification_magnitude(
     more strongly than the other's (and likewise for de-amplified
     authors when both sides have any).
     """
-    pos_a = [r.ratio_pct for r in rows_a if r.ratio_pct > 0]
-    pos_b = [r.ratio_pct for r in rows_b if r.ratio_pct > 0]
-    if not pos_a or not pos_b:
+    ratios_a = np.array([r.ratio_pct for r in rows_a], dtype=np.float64)
+    ratios_b = np.array([r.ratio_pct for r in rows_b], dtype=np.float64)
+    pos_a, pos_b = ratios_a[ratios_a > 0], ratios_b[ratios_b > 0]
+    if not len(pos_a) or not len(pos_b):
         raise AnalysisError("both row sets need at least one amplified author")
     amp = mann_whitney_u(pos_a, pos_b, mode=mode)
     result = dict(
@@ -182,9 +197,8 @@ def group_amplification_magnitude(
         amplified_statistic=amp.statistic,
         amplified_pvalue=amp.pvalue,
     )
-    neg_a = [r.ratio_pct for r in rows_a if r.ratio_pct < 0]
-    neg_b = [r.ratio_pct for r in rows_b if r.ratio_pct < 0]
-    if neg_a and neg_b:
+    neg_a, neg_b = ratios_a[ratios_a < 0], ratios_b[ratios_b < 0]
+    if len(neg_a) and len(neg_b):
         de = mann_whitney_u(neg_a, neg_b, mode=mode)
         result.update(
             deamplified_mean_a=math.fsum(neg_a) / len(neg_a),

@@ -10,6 +10,7 @@ the Mann-Whitney U test.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, pairwise
 from typing import Iterable, Mapping, Sequence
@@ -25,23 +26,31 @@ from .mwu import MODE_AUTO, mann_whitney_u
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 
 
-def _as_exposure_vector(values: Iterable[float]) -> np.ndarray:
+def _sorted_exposures(values: Iterable[float]) -> np.ndarray:
+    """``values`` as a float64 vector in ascending order, checked to be
+    non-empty, one-dimensional, finite, non-negative and not all zero.
+
+    The checks after the sort read its ends only: a -inf or a negative
+    value sorts first, a +inf or NaN last.
+    """
     x = np.asarray(list(values) if not isinstance(values, np.ndarray) else values,
                    dtype=np.float64)
     if x.ndim != 1 or len(x) == 0:
         raise AnalysisError("gini requires a non-empty one-dimensional vector")
-    if not np.isfinite(x).all():
+    x = np.sort(x)
+    low, high = float(x[0]), float(x[-1])
+    if not (math.isfinite(low) and math.isfinite(high)):
         raise AnalysisError("gini requires finite values")
-    if (x < 0).any():
+    if low < 0.0:
         raise AnalysisError("gini is undefined for negative exposures")
-    if x.sum() <= 0.0:
+    if high <= 0.0:
         raise AnalysisError("gini is undefined when all exposures are zero")
     return x
 
 
 def gini(values: Iterable[float]) -> float:
     """Gini coefficient of a non-negative exposure vector, in [0, 1)."""
-    x = np.sort(_as_exposure_vector(values))
+    x = _sorted_exposures(values)
     n = len(x)
     total = float(x.sum())
     weighted = float((np.arange(1, n + 1, dtype=np.float64) * x).sum())
@@ -68,7 +77,7 @@ class LorenzCurve:
 
 def lorenz(values: Iterable[float]) -> LorenzCurve:
     """Lorenz curve of a non-negative exposure vector."""
-    x = np.sort(_as_exposure_vector(values))
+    x = _sorted_exposures(values)
     n = len(x)
     cum = np.cumsum(x) / x.sum()
     shares = np.arange(1, n + 1) / n

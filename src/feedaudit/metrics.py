@@ -297,28 +297,24 @@ def _authors(ids: Sequence[AuthorId], codes: np.ndarray) -> tuple[list[AuthorId]
 
 def group_exposures(
     codes: np.ndarray, values: np.ndarray, bounds: Sequence[int], n_authors: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One group's exposures as arrays over ``n_authors`` authors, from
+) -> tuple[np.ndarray, np.ndarray]:
+    """One group's mean exposures over ``n_authors`` authors, from
     stacked entries (see ``_stack``) whose codes are author positions:
     monitor j's entries are ``bounds[j]:bounds[j + 1]``.
 
-    Returns the (authors x monitors) matrix whose row i holds author i's
-    exposure on each monitor (0 where a monitor never saw the author),
-    each author's mean over the monitors, and which authors some monitor
-    saw. The sums behind the means come from one weighted
-    ``np.bincount``, which adds an author's exposures in monitor order,
-    so they have the bits of summing the tables entry by entry into a
-    dict; a pairwise ``np.sum`` would not.
+    Returns each author's mean over the monitors (a monitor that never
+    saw the author counts 0) and which authors some monitor saw. The
+    sums behind the means come from one weighted ``np.bincount``, which
+    adds an author's exposures in monitor order, so they have the bits
+    of summing the tables entry by entry into a dict; a pairwise
+    ``np.sum`` would not.
     """
     rows = slice(bounds[0], bounds[-1])
     codes, values = codes[rows], values[rows]
-    monitors = len(bounds) - 1
-    matrix = np.zeros((n_authors, monitors))
-    matrix[codes, np.repeat(np.arange(monitors), np.diff(bounds))] = values
     seen = np.zeros(n_authors, dtype=bool)
     seen[codes] = True
     sums = np.bincount(codes, weights=values, minlength=n_authors)
-    return matrix, sums / monitors, seen
+    return sums / (len(bounds) - 1), seen
 
 
 def group_mean_exposure(tables: Sequence[ExposureTable]) -> dict[AuthorId, float]:
@@ -332,7 +328,7 @@ def group_mean_exposure(tables: Sequence[ExposureTable]) -> dict[AuthorId, float
         raise DataError("cannot average zero exposure tables")
     ids, codes, values, bounds = _stack(tables)
     authors, codes = _authors(ids, codes)
-    return dict(zip(authors, group_exposures(codes, values, bounds, len(authors))[1]))
+    return dict(zip(authors, group_exposures(codes, values, bounds, len(authors))[0]))
 
 
 def exposure_share(

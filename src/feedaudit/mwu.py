@@ -20,8 +20,8 @@ min(1, 2 * min(P(U_a <= u), P(U_a >= u))), which matches the usual
 convention of doubling the smaller tail.
 
 ``mann_whitney_u_many`` runs many tests of equal sample sizes at once:
-row i of a (k, n) and a (k, m) array is one test. It ranks whole blocks
-of rows with array operations and returns, for every row, the result
+row i of a (k, n) and a (k, m) array is one test. It ranks blocks of
+rows with array operations and returns, for every row, the result
 that ``mann_whitney_u`` gives on that row, bit for bit;
 ``mann_whitney_u`` is its one-row case. The normal path is vectorised
 over the block as well: U, the variance, sd and z are array
@@ -32,13 +32,18 @@ stay bit-identical to the per-row formula.
 
 The ranking is zero-aware, because those samples are mostly zeros: at
 30 monitors a group, about 91% of an amplification test's values are.
-Only the non-zero entries of a block are sorted. A row's z zeros are
-one run whose doubled midrank, 2 * (negatives in the row) + z + 1, and
-tie term z^3 - z are closed forms, and the row's positive entries rank
-z places past its negatives. Rank sums and tie terms are the same
-exact integers as a dense sort of every value gives, so every p-value
-is too. The normal path still returns p = 0 for completely separated
-samples, below the smallest p the test can attain, 2 / C(n+m, n).
+The rank kernel takes only the non-zero entries of a block of tests,
+as (row, value, in sample A) triples, and sorts them. A row's z zeros
+are one run whose doubled midrank, 2 * (negatives in the row) + z + 1,
+and tie term z^3 - z are closed forms, and the row's positive entries
+rank z places past its negatives. Dense (k, n) and (k, m) arrays reach
+the kernel through an adapter that finds their non-zero entries; the
+amplification report passes the entries of its exposure tables
+directly, so it builds no (authors x monitors) matrix. Rank sums and
+tie terms are the same exact integers as a dense sort of every value
+gives, so every p-value is too. The normal path still returns p = 0
+for completely separated samples, below the smallest p the test can
+attain, 2 / C(n+m, n).
 """
 
 from __future__ import annotations
@@ -46,7 +51,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import repeat
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -101,38 +106,32 @@ class _Ranks(NamedTuple):
         return (*nonzero[:neg], *repeat(2 * neg + z + 1, z), *nonzero[neg:])
 
 
-def _rank_rows(a: np.ndarray, b: np.ndarray) -> _Ranks:
-    """Rank the pooled rows of the samples ``a`` (rows x n) and ``b``
-    (rows x m), row i of both being one test; at most 2^15 rows.
+def _rank_entries(row: np.ndarray, values: np.ndarray, in_a: np.ndarray, rows: int, n: int, m: int) -> _Ranks:
+    """Rank the pooled rows of a block of ``rows`` tests (at most 2^15),
+    each of ``n`` values in sample A and ``m`` in sample B, from their
+    non-zero entries: entry j is the value ``values[j]`` of row
+    ``row[j]`` (16-bit), in sample A where ``in_a[j]``. The values a row
+    does not list are its zeros.
 
-    Only the non-zero entries are sorted: by value, then stably by row,
-    so each row's entries end up in ascending order. The order within
-    a run of equal values does not matter, since the run shares one
-    midrank. A row with z zeros and g negative entries holds its zeros
-    at sorted positions g .. g + z - 1, so they share the doubled
-    midrank 2g + z + 1 and add z^3 - z to the tie term; the row's
-    positive entries sit z places further on. Doubling keeps tied
-    midranks integral, so rank sums and tie terms are exact integers.
+    The entries are sorted by value, then stably by row, so each row's
+    entries end up in ascending order. The order within a run of equal
+    values does not matter, since the run shares one midrank. A row
+    with z zeros and g negative entries holds its zeros at sorted
+    positions g .. g + z - 1, so they share the doubled midrank
+    2g + z + 1 and add z^3 - z to the tie term; the row's positive
+    entries sit z places further on. Doubling keeps tied midranks
+    integral, so rank sums and tie terms are exact integers.
     """
-    rows, n = a.shape
-    m = b.shape[1]
-    # np.nonzero is several times faster on a mask than on floats.
-    flat_a = np.flatnonzero(a != 0.0)
-    flat_b = np.flatnonzero(b != 0.0)
-    row_a = (flat_a // n).astype(np.int16)
-    values = np.concatenate((a.ravel()[flat_a], b.ravel()[flat_b]))
-    row = np.concatenate((row_a, (flat_b // m).astype(np.int16)))
     order = np.argsort(values)
     # A stable sort of 16-bit keys is a radix sort.
     order = order[np.argsort(row[order], kind="stable")]
-    values, row = values[order], row[order]
-    in_a = order < len(flat_a)
+    values, row, in_a = values[order], row[order], in_a[order]
 
     starts = np.zeros(rows + 1, dtype=np.intp)
     np.cumsum(np.bincount(row, minlength=rows), out=starts[1:])
     negatives = np.bincount(row[values < 0.0], minlength=rows)
     zeros = (n + m) - np.diff(starts)
-    zeros_a = n - np.bincount(row_a, minlength=rows)
+    zeros_a = n - np.bincount(row[in_a], minlength=rows)
     # Sorted position within the row: the negatives come first, then
     # the zeros, then the positives.
     pos = np.arange(len(values)) - starts[row]
@@ -156,6 +155,22 @@ def _rank_rows(a: np.ndarray, b: np.ndarray) -> _Ranks:
     # Every member of a run of length t adds t^2 - 1, so the run adds t^3 - t.
     tie_terms = row_sums(t * t - 1) + zeros * zeros * zeros - zeros
     return _Ranks(doubled_sum_a, tie_terms, doubled, starts, negatives, zeros)
+
+
+def _rank_rows(a: np.ndarray, b: np.ndarray) -> _Ranks:
+    """Rank the pooled rows of the samples ``a`` (rows x n) and ``b``
+    (rows x m), row i of both being one test; at most 2^15 rows. The
+    dense form of ``_rank_entries``: it finds the non-zero entries.
+    """
+    rows, n = a.shape
+    m = b.shape[1]
+    # np.nonzero is several times faster on a mask than on floats.
+    flat_a = np.flatnonzero(a != 0.0)
+    flat_b = np.flatnonzero(b != 0.0)
+    row = np.concatenate(((flat_a // n).astype(np.int16), (flat_b // m).astype(np.int16)))
+    values = np.concatenate((a.ravel()[flat_a], b.ravel()[flat_b]))
+    in_a = np.arange(len(values)) < len(flat_a)
+    return _rank_entries(row, values, in_a, rows, n, m)
 
 
 @lru_cache(maxsize=256)
@@ -229,6 +244,24 @@ def _normal_pvalues(u_a: np.ndarray, tie_terms: np.ndarray, n: int, m: int) -> n
     return p[inverse]
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in _MODES:
+        raise ConfigError(f"unknown mode {mode!r}; expected one of {_MODES}")
+
+
+def _exact_feasible(n: int, m: int) -> bool:
+    """Whether C(n + m, n) <= EXACT_LIMIT. The running product
+    C(max + i, i), i = 1 .. min(n, m), grows with i, so it stops at the
+    first term past the limit and never holds a big integer."""
+    small, large = min(n, m), max(n, m)
+    count = 1
+    for i in range(1, small + 1):
+        count = count * (large + i) // i
+        if count > EXACT_LIMIT:
+            return False
+    return True
+
+
 def _mann_whitney_arrays(
     samples_a: np.ndarray,
     samples_b: np.ndarray,
@@ -236,8 +269,7 @@ def _mann_whitney_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row-wise tests as arrays: the statistics, the p-values and which
     rows took the exact path. See ``mann_whitney_u_many``."""
-    if mode not in _MODES:
-        raise ConfigError(f"unknown mode {mode!r}; expected one of {_MODES}")
+    _check_mode(mode)
     a = np.asarray(samples_a, dtype=np.float64)
     b = np.asarray(samples_b, dtype=np.float64)
     if a.ndim != 2 or b.ndim != 2:
@@ -250,8 +282,54 @@ def _mann_whitney_arrays(
         raise DataError("both samples must be non-empty")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise DataError("samples must be finite")
+    blocks = (
+        _rank_rows(a[start : start + _BLOCK_ROWS], b[start : start + _BLOCK_ROWS])
+        for start in range(0, k, _BLOCK_ROWS)
+    )
+    return _ranked_tests(blocks, k, n, m, mode)
 
-    feasible = math.comb(n + m, n) <= EXACT_LIMIT
+
+def _mann_whitney_entries(
+    row: np.ndarray,
+    values: np.ndarray,
+    in_a: np.ndarray,
+    k: int,
+    n: int,
+    m: int,
+    mode: str,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_mann_whitney_arrays`` of k tests of n >= 1 values in sample A
+    and m >= 1 in sample B, given by their non-zero entries in any
+    order: entry j is the value ``values[j]`` of test ``row[j]``, in
+    sample A where ``in_a[j]``. Each test's unlisted values are zeros.
+    """
+    _check_mode(mode)
+    if not np.isfinite(values).all():
+        raise DataError("samples must be finite")
+    starts = range(0, k, _BLOCK_ROWS)
+    # Block numbers in the smallest unsigned type that holds them, so
+    # that the stable sort grouping the entries by block is a radix sort.
+    block = (row // _BLOCK_ROWS).astype(np.min_scalar_type(len(starts)))
+    order = np.argsort(block, kind="stable")
+    ends = np.cumsum(np.bincount(block, minlength=len(starts))).tolist()
+
+    def blocks() -> Iterator[_Ranks]:
+        for start, low, high in zip(starts, [0, *ends], ends):
+            take = order[low:high]
+            row_in_block = (row[take] - start).astype(np.int16)
+            yield _rank_entries(row_in_block, values[take], in_a[take], min(_BLOCK_ROWS, k - start), n, m)
+
+    return _ranked_tests(blocks(), k, n, m, mode)
+
+
+def _ranked_tests(
+    blocks: Iterable[_Ranks], k: int, n: int, m: int, mode: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The statistics, p-values and exact-path flags of k tests of n
+    values against m, from the ranks of their consecutive blocks of
+    ``_BLOCK_ROWS`` rows, which are ranked one at a time as they are
+    drawn."""
+    feasible = _exact_feasible(n, m)
     if mode == MODE_EXACT and k and not feasible:
         raise AnalysisError(
             f"exact mode infeasible: C({n + m}, {n}) exceeds {EXACT_LIMIT}"
@@ -259,27 +337,26 @@ def _mann_whitney_arrays(
     exact_if_untied = mode == MODE_AUTO and min(n, m) <= _AUTO_EXACT_MAX and feasible
     doubled_total = (n + m) * (n + m + 1)
 
-    statistics = np.empty(k)
+    u_a = np.empty(k)
+    tie_terms = np.empty(k, dtype=np.int64)
     pvalues = np.empty(k)
     exact = np.full(k, mode == MODE_EXACT)
-    for start in range(0, k, _BLOCK_ROWS):
+    for start, ranks in zip(range(0, k, _BLOCK_ROWS), blocks):
         stop = min(start + _BLOCK_ROWS, k)
-        ranks = _rank_rows(a[start:stop], b[start:stop])
-        u_a = 0.5 * ranks.doubled_sum_a - 0.5 * n * (n + 1)
-        statistics[start:stop] = np.minimum(u_a, n * m - u_a)
+        u_a[start:stop] = 0.5 * ranks.doubled_sum_a - 0.5 * n * (n + 1)
+        tie_terms[start:stop] = ranks.tie_terms
         if exact_if_untied:
             exact[start:stop] = ranks.tie_terms == 0
-        block = exact[start:stop]
-        pvalues[start:stop][~block] = _normal_pvalues(
-            u_a[~block], ranks.tie_terms[~block], n, m
-        )
-        for i in np.flatnonzero(block).tolist():
+        for i in np.flatnonzero(exact[start:stop]).tolist():
             doubled_sum_a = int(ranks.doubled_sum_a[i])
             smaller, observed = (
                 (n, doubled_sum_a) if n <= m else (m, doubled_total - doubled_sum_a)
             )
             pvalues[start + i] = _exact_pvalue(ranks.sorted_doubled(i), smaller, observed)
-    return statistics, pvalues, exact
+    # The normal rows of every block at once: each distinct (U_a, tie
+    # term) pair among them is computed once.
+    pvalues[~exact] = _normal_pvalues(u_a[~exact], tie_terms[~exact], n, m)
+    return np.minimum(u_a, n * m - u_a), pvalues, exact
 
 
 def mann_whitney_u_many(

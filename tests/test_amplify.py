@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -488,3 +489,150 @@ class TestMagnitude:
     def test_no_amplified_rows_error(self):
         with pytest.raises(AnalysisError):
             group_amplification_magnitude([_row("a", -10.0)], [_row("b", 5.0)])
+
+
+def heavy_zero_tables(seed, n_part, n_base, n_authors=3000):
+    """Hand-built tables in which each author reaches a monitor with a
+    probability of its own, mostly small; a few values repeat, so
+    samples tie, and some authors reach every monitor (tie-free)."""
+    rng = np.random.default_rng(seed)
+    authors = [f"u{i:04d}" for i in range(n_authors)]
+    reach = rng.choice([0.02, 0.05, 0.1, 0.3, 1.0], size=n_authors, p=[0.4, 0.3, 0.15, 0.1, 0.05])
+
+    def tables(prefix, count, shift):
+        out = []
+        for j in range(count):
+            hit = rng.random(n_authors) < reach
+            values = np.where(rng.random(n_authors) < 0.2, 1.0, shift + rng.exponential(size=n_authors))
+            out.append(_table(f"{prefix}{j}", dict(zip(np.array(authors)[hit].tolist(), values[hit].tolist()))))
+        return out
+
+    return tables("p", n_part, 0.25), tables("b", n_base, 0.0)
+
+
+class TestSparseEntries:
+    """The report ranks each candidate's non-zero entries straight from
+    the stacked tables; it must equal the dense reference's rows."""
+
+    @pytest.mark.parametrize("n_part,n_base", [(5, 7), (8, 3), (30, 30)])
+    @pytest.mark.parametrize("top", [1, 50, None])
+    def test_equals_dense_reference(self, n_part, n_base, top):
+        part, base = heavy_zero_tables(n_part * 100 + n_base, n_part, n_base)
+        observed = {a for t in (*part, *base) for a in t.entries}
+        top = top or len(observed)
+        rows = build_amplification_report(part, base, top=top)
+        assert_rows_bitwise(rows, dict_report(part, base, top=top))
+        assert len(rows) == min(top, len(observed))
+        if top == len(observed):
+            assert len(rows) > 1024  # past one block of the rank kernel
+            # With at most eight monitors on a side, auto takes the exact
+            # path on tie-free authors.
+            index = {r.author_id: i for i, r in enumerate(rows)}
+            methods = {
+                r.method
+                for r in mann_whitney_u_many(
+                    dict_exposure_matrix(part, index), dict_exposure_matrix(base, index)
+                )
+            }
+            assert methods == ({"exact", "normal"} if min(n_part, n_base) <= 8 else {"normal"})
+
+    def test_zero_entries_count_as_absent(self):
+        # Explicit 0.0 and -0.0 exposures rank as the zeros of monitors
+        # that never saw the author; the author still counts as seen.
+        part = [_table("p0", {"a": 0.0, "b": 2.0}), _table("p1", {"a": -0.0, "b": 1.0}), _table("p2", {"a": 3.0})]
+        base = [_table("b0", {"a": 0.0}), _table("b1", {"b": -0.0, "c": 1.5}), _table("b2", {"c": 0.0})]
+        for top in (1, 2, 3):
+            assert_rows_bitwise(build_amplification_report(part, base, top=top), dict_report(part, base, top=top))
+        rows = {r.author_id: r for r in build_amplification_report(part, base, top=3)}
+        dropped = [_table("p0", {"b": 2.0}), _table("p1", {"b": 1.0}), _table("p2", {"a": 3.0})]
+        dropped_base = [_table("b0", {}), _table("b1", {"c": 1.5}), _table("b2", {})]
+        for r in build_amplification_report(dropped, dropped_base, top=3):
+            assert (r.statistic, r.pvalue) == (rows[r.author_id].statistic, rows[r.author_id].pvalue)
+        assert type(rows["c"].baseline_mean) is np.float64
+        assert type(rows["c"].partisan_mean) is float
+
+    def test_negative_entry_with_non_negative_mean(self):
+        part = [_table("p0", {"a": -1.0, "b": 1.0}), _table("p1", {"a": 5.0}), _table("p2", {"b": -0.5, "a": 0.5})]
+        base = [_table("b0", {"a": 1.0, "b": 2.0}), _table("b1", {"b": -2.0}), _table("b2", {"b": 4.0})]
+        rows = build_amplification_report(part, base, top=2)
+        assert_rows_bitwise(rows, dict_report(part, base, top=2))
+        assert [r.author_id for r in rows] == ["a", "b"]
+
+    def test_nan_entry(self):
+        part = [_table("p0", {"a": 1.0, "nan": np.nan}), _table("p1", {"a": 2.0, "b": 1.0})]
+        base = [_table("b0", {"a": 1.0, "b": 0.5}), _table("b1", {"b": 0.5, "neg": -9.0})]
+        # NaN pools last, after "neg": outside the top it is never tested,
+        # and the other rows are those of the tables without it.
+        clean = [_table(t.monitor_id, {a: e for a, e in t.entries.items() if a != "nan"}) for t in part]
+        for top in (1, 2):
+            assert repr(build_amplification_report(part, base, top=top)) == repr(
+                build_amplification_report(clean, base, top=top)
+            )
+        for tables in (part, clean):
+            with pytest.raises(AnalysisError, match="mean exposures must be non-negative"):
+                build_amplification_report(tables, base, top=3)
+        # Among the candidates it fails the tests' finiteness check, before
+        # the negative mean of "neg" fails the ratio.
+        with pytest.raises(DataError, match="samples must be finite"):
+            build_amplification_report(part, base, top=4)
+
+    def test_error_order(self):
+        part = [_table(f"p{i}", {"a": float(i + 1), "nan": np.nan}) for i in range(30)]
+        base = [_table(f"b{i}", {"a": 0.5, "neg": -1.0}) for i in range(30)]
+        clean = [_table(t.monitor_id, {"a": t.entries["a"]}) for t in part]
+        with pytest.raises(ConfigError, match="top must be >= 1"):
+            build_amplification_report(part, base[:1], top=0, alpha=2.0, mode="bootstrap")
+        with pytest.raises(ConfigError, match="alpha must be in"):
+            build_amplification_report(part, base[:1], alpha=2.0, mode="bootstrap")
+        with pytest.raises(DataError, match="at least two monitors"):
+            build_amplification_report(part, base[:1], mode="bootstrap")
+        with pytest.raises(ConfigError, match="unknown mode"):
+            build_amplification_report(part, base, mode="bootstrap")
+        with pytest.raises(DataError, match="samples must be finite"):
+            build_amplification_report(part, base, mode="exact")
+        with pytest.raises(AnalysisError, match=r"exact mode infeasible: C\(60, 30\)"):
+            build_amplification_report(clean, base, mode="exact")
+        with pytest.raises(AnalysisError, match="mean exposures must be non-negative"):
+            build_amplification_report(clean, base)
+        assert [r.author_id for r in build_amplification_report(clean, base, top=1)] == ["a"]
+
+
+def list_magnitude(rows_a, rows_b):
+    """The magnitude comparison from lists of ratios, read row by row."""
+    pos_a = [r.ratio_pct for r in rows_a if r.ratio_pct > 0]
+    pos_b = [r.ratio_pct for r in rows_b if r.ratio_pct > 0]
+    neg_a = [r.ratio_pct for r in rows_a if r.ratio_pct < 0]
+    neg_b = [r.ratio_pct for r in rows_b if r.ratio_pct < 0]
+    amp, de = mann_whitney_u(pos_a, pos_b), None
+    if neg_a and neg_b:
+        de = mann_whitney_u(neg_a, neg_b)
+    return pos_a, pos_b, neg_a, neg_b, amp, de
+
+
+class TestMagnitudeRatios:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, -0.0, 12.5, 40.0, -3.0, -60.0, 0.1, 7.25]), min_size=1, max_size=40),
+        st.lists(st.sampled_from([0.0, 5.0, 40.0, -3.0, -1e-9, 1e-9, 80.0]), min_size=1, max_size=40),
+    )
+    def test_equals_list_reference(self, ratios_a, ratios_b):
+        rows_a = [_row(f"a{i}", x) for i, x in enumerate(ratios_a)]
+        rows_b = [_row(f"b{i}", x) for i, x in enumerate(ratios_b)]
+        if not any(x > 0 for x in ratios_a) or not any(x > 0 for x in ratios_b):
+            with pytest.raises(AnalysisError):
+                group_amplification_magnitude(rows_a, rows_b)
+            return
+        mag = group_amplification_magnitude(rows_a, rows_b)
+        pos_a, pos_b, neg_a, neg_b, amp, de = list_magnitude(rows_a, rows_b)
+        assert (mag.amplified_count_a, mag.amplified_count_b) == (len(pos_a), len(pos_b))
+        assert (mag.amplified_statistic, mag.amplified_pvalue) == (amp.statistic, amp.pvalue)
+        assert (mag.amplified_mean_a, mag.amplified_mean_b) == (
+            math.fsum(pos_a) / len(pos_a),
+            math.fsum(pos_b) / len(pos_b),
+        )
+        if de is None:
+            assert mag.deamplified_pvalue is None and mag.deamplified_count_a == 0
+        else:
+            assert (mag.deamplified_count_a, mag.deamplified_count_b) == (len(neg_a), len(neg_b))
+            assert (mag.deamplified_statistic, mag.deamplified_pvalue) == (de.statistic, de.pvalue)
+            assert mag.deamplified_mean_a == math.fsum(neg_a) / len(neg_a)

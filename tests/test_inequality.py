@@ -230,3 +230,111 @@ class TestGroupGiniDistribution:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             group_gini_distribution({})
+
+
+NON_EMPTY = "gini requires a non-empty one-dimensional vector"
+FINITE = "gini requires finite values"
+NEGATIVE = "gini is undefined for negative exposures"
+ALL_ZERO = "gini is undefined when all exposures are zero"
+NAN, INF = float("nan"), float("inf")
+
+# (values, the message they raise): a NaN or an infinity raises "finite"
+# before a negative raises "negative", and both before "all zero".
+ERROR_CASES = [
+    ([], NON_EMPTY),
+    ([1.0, NAN], FINITE),
+    ([NAN], FINITE),
+    ([INF, 1.0], FINITE),
+    ([2.0, -INF], FINITE),
+    ([-1.0, 3.0, NAN], FINITE),
+    ([-5.0, INF], FINITE),
+    ([0.0, 0.0, NAN], FINITE),
+    ([2.0, -0.5], NEGATIVE),
+    ([3.0, -1e-300, 0.0], NEGATIVE),
+    ([0.0, -2.0, 0.0], NEGATIVE),
+    ([0.0, 0.0], ALL_ZERO),
+    ([-0.0, 0.0, -0.0], ALL_ZERO),
+    ([0.0], ALL_ZERO),
+]
+
+
+def reference_error(values):
+    """The message of the checks as separate passes over the vector, in
+    their order, or None."""
+    x = np.asarray(values, dtype=np.float64)
+    if x.ndim != 1 or len(x) == 0:
+        return NON_EMPTY
+    if not np.isfinite(x).all():
+        return FINITE
+    if (x < 0).any():
+        return NEGATIVE
+    if x.sum() <= 0.0:
+        return ALL_ZERO
+    return None
+
+
+class TestValidation:
+    @pytest.mark.parametrize("values,message", ERROR_CASES)
+    def test_gini_and_lorenz(self, values, message):
+        assert reference_error(values) == message
+        for fn in (gini, lorenz):
+            with pytest.raises(AnalysisError, match=f"^{message}$"):
+                fn(values)
+            with pytest.raises(AnalysisError, match=f"^{message}$"):
+                fn(np.array(values, dtype=np.float64))
+            with pytest.raises(AnalysisError, match=f"^{message}$"):
+                fn(iter(values))
+
+    def test_not_one_dimensional(self):
+        for fn in (gini, lorenz):
+            with pytest.raises(AnalysisError, match=f"^{NON_EMPTY}$"):
+                fn(np.ones((2, 2)))
+            with pytest.raises(AnalysisError, match=f"^{NON_EMPTY}$"):
+                fn(np.array(1.0))
+
+    @pytest.mark.parametrize("values,message", ERROR_CASES)
+    def test_group_gini_distribution(self, values, message):
+        # The bad table comes second in its group, after a valid one,
+        # and the other group is valid.
+        bad = _table("l2", dict(zip(map("u{}".format, range(len(values))), values)))
+        tables = {
+            "left": [_table("l1", {"a": 1.0, "b": 3.0}), bad],
+            "right": [_table("r1", {"a": 2.0}), _table("r2", {"a": 1.0, "c": 1.0})],
+        }
+        with pytest.raises(AnalysisError, match=f"^{message}$"):
+            group_gini_distribution(tables)
+
+    @pytest.mark.parametrize(
+        "first,second,message",
+        [
+            ({}, {"a": NAN}, NON_EMPTY),
+            ({"a": NAN}, {}, FINITE),
+            ({"a": 0.0}, {"a": -1.0}, ALL_ZERO),
+            ({"a": -1.0}, {"a": INF}, NEGATIVE),
+            ({"a": 1.0, "b": -1.0}, {"a": NAN}, NEGATIVE),
+        ],
+    )
+    def test_first_bad_table_raises(self, first, second, message):
+        # A group's tables are checked in their order, each in full.
+        tables = {"left": [_table("l1", first), _table("l2", second)]}
+        with pytest.raises(AnalysisError, match=f"^{message}$"):
+            group_gini_distribution(tables)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 1.0, 2.5, -1.0, NAN, INF, -INF]),
+                st.floats(allow_nan=True, allow_infinity=True),
+            ),
+            max_size=8,
+        )
+    )
+    def test_matches_separate_passes(self, values):
+        message = reference_error(values)
+        for fn in (gini, lorenz):
+            if message is None:
+                fn(values)
+            else:
+                with pytest.raises(AnalysisError, match=f"^{message}$"):
+                    fn(values)

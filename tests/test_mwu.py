@@ -514,3 +514,165 @@ class TestErrors:
         b = rng.normal(size=15).tolist()  # C(30,15) ~ 1.55e8 > 1e7
         with pytest.raises(AnalysisError):
             mann_whitney_u(a, b, mode=MODE_EXACT)
+
+
+def as_entries(a, b, seed):
+    """The non-zero entries of ``a`` and ``b`` as (row, value, in_a)
+    arrays, in a shuffled order."""
+    row_a, col_a = np.nonzero(a)
+    row_b, col_b = np.nonzero(b)
+    row = np.concatenate([row_a, row_b])
+    values = np.concatenate([a[row_a, col_a], b[row_b, col_b]])
+    in_a = np.arange(len(row)) < len(row_a)
+    shuffle = np.random.default_rng(seed).permutation(len(row))
+    return row[shuffle], values[shuffle], in_a[shuffle]
+
+
+def assert_ranks_equal(ranks, expected, k):
+    assert ranks.doubled_sum_a.tolist() == expected.doubled_sum_a.tolist()
+    assert ranks.tie_terms.tolist() == expected.tie_terms.tolist()
+    assert [ranks.sorted_doubled(i) for i in range(k)] == [expected.sorted_doubled(i) for i in range(k)]
+
+
+class TestEntryKernel:
+    """Tests given by their non-zero entries, in any order, against the
+    dense adapter, the dense reference ranking and the oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=1, max_value=6),
+        m=st.integers(min_value=1, max_value=6),
+        k=st.integers(min_value=0, max_value=5),
+    )
+    def test_hypothesis_heavy_zero_blocks(self, data, n, m, k):
+        value = st.one_of(
+            st.sampled_from([0.0, -0.0, 0.0, 0.0, 0.0, 1.0, -1.0, 2.5, -2.5]),
+            st.floats(min_value=-1e6, max_value=1e6, allow_nan=False),
+        )
+        rows = data.draw(st.lists(st.lists(value, min_size=n + m, max_size=n + m), min_size=k, max_size=k))
+        pooled = np.array(rows, dtype=np.float64).reshape(k, n + m)
+        # All-zero rows and rows that are non-zero on one side only.
+        kind = data.draw(st.lists(st.sampled_from(["as drawn", "zero", "a only", "b only"]), min_size=k, max_size=k))
+        for i, what in enumerate(kind):
+            if what == "zero":
+                pooled[i] = 0.0
+            elif what == "a only":
+                pooled[i, n:] = 0.0
+            elif what == "b only":
+                pooled[i, :n] = 0.0
+        a, b = pooled[:, :n], pooled[:, n:]
+        row, values, in_a = as_entries(a, b, seed=k)
+        ranks = mwu._rank_entries(row.astype(np.int16), values, in_a, k, n, m)
+        assert_ranks_equal(ranks, mwu._rank_rows(a, b), k)
+        doubled, sums, ties = reference_rank(pooled, n)
+        assert ranks.doubled_sum_a.tolist() == sums.tolist()
+        assert ranks.tie_terms.tolist() == ties.tolist()
+        for mode in (MODE_AUTO, MODE_EXACT, MODE_NORMAL):
+            statistics, pvalues, exact = mwu._mann_whitney_entries(row, values, in_a, k, n, m, mode)
+            results = mann_whitney_u_many(a, b, mode)
+            assert [float.hex(x) for x in statistics.tolist()] == [float.hex(r.statistic) for r in results]
+            assert [float.hex(x) for x in pvalues.tolist()] == [float.hex(r.pvalue) for r in results]
+            assert [MODE_EXACT if e else MODE_NORMAL for e in exact.tolist()] == [r.method for r in results]
+        statistics, pvalues, _ = mwu._mann_whitney_entries(row, values, in_a, k, n, m, MODE_EXACT)
+        for i in range(k):
+            statistic, p = oracle_exact(a[i].tolist(), b[i].tolist())
+            assert float(statistics[i]) == statistic
+            assert pvalues[i] == pytest.approx(float(p), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("mode", [MODE_AUTO, MODE_NORMAL])
+    @pytest.mark.parametrize("n,m", [(30, 30), (5, 7)])
+    def test_past_one_block(self, mode, n, m):
+        k = 2 * mwu._BLOCK_ROWS + 37
+        a, b = zero_heavy_rows(n * m, k, n, m)
+        row, values, in_a = as_entries(a, b, seed=n)
+        results = mwu._mann_whitney_entries(row, values, in_a, k, n, m, mode)
+        expected = mwu._mann_whitney_arrays(a, b, mode)
+        for got, want in zip(results, expected):
+            assert got.tolist() == want.tolist()
+        if (n, m) == (5, 7) and mode == MODE_AUTO:
+            assert 0 < results[2].sum() < k  # exact and normal rows both
+
+    def test_more_candidate_rows_than_16_bits(self):
+        # Row numbers past 2^15 are ranked within their blocks of
+        # _BLOCK_ROWS, so their 16-bit keys never wrap.
+        k, n, m = 2**15 + 700, 3, 4
+        a, b = zero_heavy_rows(15, k, n, m)
+        a[-300:] = np.arange(1.0, 301.0)[:, None] + np.arange(n) / 8  # tie-free: exact rows
+        b[-300:] = -np.arange(1.0, 301.0)[:, None] - np.arange(m) / 8
+        row, values, in_a = as_entries(a, b, seed=1)
+        assert row.max() > 2**15
+        for mode in (MODE_AUTO, MODE_NORMAL):
+            statistics, pvalues, exact = mwu._mann_whitney_entries(row, values, in_a, k, n, m, mode)
+            results = mann_whitney_u_many(a, b, mode)
+            assert statistics.tolist() == [r.statistic for r in results]
+            assert pvalues.tolist() == [r.pvalue for r in results]
+            assert [MODE_EXACT if e else MODE_NORMAL for e in exact.tolist()] == [r.method for r in results]
+            assert exact[-300:].all() == (mode == MODE_AUTO)
+
+    def test_no_entries(self):
+        empty = np.empty(0)
+        for k in (0, 3):
+            statistics, pvalues, exact = mwu._mann_whitney_entries(
+                empty.astype(np.intp), empty, empty.astype(bool), k, 30, 30, MODE_NORMAL
+            )
+            assert statistics.tolist() == [450.0] * k
+            assert pvalues.tolist() == [1.0] * k
+
+    def test_errors_in_order(self):
+        row = np.array([0, 1])
+        in_a = np.array([True, False])
+        nan = np.array([np.nan, 1.0])
+        with pytest.raises(ConfigError):
+            mwu._mann_whitney_entries(row, nan, in_a, 2, 30, 30, "bootstrap")
+        for bad in (nan, np.array([1.0, np.inf]), np.array([-np.inf, 1.0])):
+            with pytest.raises(DataError, match="samples must be finite"):
+                mwu._mann_whitney_entries(row, bad, in_a, 2, 30, 30, MODE_EXACT)
+        with pytest.raises(AnalysisError, match=r"exact mode infeasible: C\(60, 30\) exceeds 10000000"):
+            mwu._mann_whitney_entries(row, np.array([1.0, 2.0]), in_a, 2, 30, 30, MODE_EXACT)
+        empty = np.empty(0)
+        assert len(mwu._mann_whitney_entries(empty.astype(np.intp), empty, empty.astype(bool), 0, 30, 30, MODE_EXACT)[0]) == 0
+
+
+def gate_grid():
+    """(n, m) pairs up to 3,000 a side: a grid, and for every n from 3 to
+    40 the pairs either side of the 10^7 boundary, both ways round."""
+    sizes = sorted({*range(1, 41), 50, 64, 100, 128, 255, 256, 387, 388, 389, 390, 500, 1000, 1350, 1650, 1800, 2000, 2999, 3000})
+    pairs = {(n, m) for n in sizes for m in sizes}
+    for n in range(3, 41):
+        m = 1
+        while math.comb(n + m + 1, n) <= mwu.EXACT_LIMIT:
+            m += 1
+        pairs |= {(n, m), (n, m + 1), (m, n), (m + 1, n)}
+    return sorted(pairs)
+
+
+class TestExactGate:
+    def test_decision_equals_big_integer(self):
+        pairs = gate_grid()
+        decisions = [mwu._exact_feasible(n, m) for n, m in pairs]
+        assert decisions == [math.comb(n + m, n) <= mwu.EXACT_LIMIT for n, m in pairs]
+        # The grid holds pairs on both sides of the boundary.
+        assert any(decisions) and not all(decisions)
+        # C(392, 3) = 9,962,680 and C(393, 3) = 10,039,316.
+        assert {(3, 389), (3, 390), (389, 3), (390, 3)} <= set(pairs)
+
+    @pytest.mark.parametrize("n", [3, 4, 7, 10, 12])
+    def test_infeasible_error_at_boundary(self, n):
+        m = 1
+        while math.comb(n + m + 1, n) <= mwu.EXACT_LIMIT:
+            m += 1
+        for small, large in ((n, m), (m, n)):
+            a = np.arange(1.0, small + 1.0)[np.newaxis]
+            b = -np.arange(1.0, large + 1.0)[np.newaxis]
+            res = mann_whitney_u_many(a, b, MODE_EXACT)[0]
+            assert res.method == MODE_EXACT
+            assert res.pvalue == 2.0 / math.comb(small + large, small)
+        for small, large in ((n, m + 1), (m + 1, n)):
+            a = np.arange(1.0, small + 1.0)[np.newaxis]
+            b = -np.arange(1.0, large + 1.0)[np.newaxis]
+            message = rf"exact mode infeasible: C\({small + large}, {small}\) exceeds {mwu.EXACT_LIMIT}"
+            with pytest.raises(AnalysisError, match=message):
+                mann_whitney_u_many(a, b, MODE_EXACT)
+            assert mann_whitney_u_many(a[:0], b[:0], MODE_EXACT) == ()
+            assert mann_whitney_u_many(a, b, MODE_AUTO)[0].method == MODE_NORMAL
