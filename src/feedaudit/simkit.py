@@ -25,18 +25,24 @@ Randomness is hierarchical: every session gets its own generator seeded
 by (seed, group index, monitor index, day, slot), so any session can be
 reproduced in isolation and fleet output is byte-identical across runs.
 
-A session is sampled as numpy arrays and written straight into the
-columns of one :class:`~feedaudit.model.SessionBatch` per fleet: author
-codes are the sampled world indices (the batch's id table is
-``world.ids``), ranks are 1..L, the four flags are one mask per row, and
-the tweet ids are the session id joined onto a cached per-rank suffix.
-No per-row Python object is built; the returned records are views of
-the batch. Sessions are sampled in their canonical order, so the
-columns need no reordering.
+The fleet's sessions are written straight into the columns of one
+:class:`~feedaudit.model.SessionBatch`, each allocated once from the
+sorted captures, whose lengths are known: author codes are the sampled
+world indices (the batch's id table is ``world.ids``), the four flags
+are one mask per row, and the ranks 1..L and tweet ids (the session id
+joined onto a cached per-rank suffix) follow from each session's id and
+length. Each monitor's run of captures is sampled as one batch: every
+session draws from its own generator, in the order a session sampled
+alone draws, while the table lookups, scores, per-session rank sorts
+and flag masks run once over the run's rows. No per-row Python object
+is built; the returned records are views of the batch. Sessions are
+sampled in their canonical order, so the columns need no reordering.
 
 A session's three weighted draws (out-of-network candidates, follows
 and retweet originals) read cumulative probability tables that each
-monitor's sampler builds once. A draw from a table is the computation
+sampler builds once; consecutive monitors of one group with equal
+follows (all neutral monitors) share a sampler, and the arrays that do
+not depend on the monitor are computed once per fleet. A draw from a table is the computation
 ``Generator.choice(a, size=n, replace=True, p=p)`` makes, minus the
 checks of ``p`` and the cumulative sum that ``choice`` repeats on every
 call, so every random stream, and every simulated log, is the one
@@ -46,19 +52,18 @@ once, as a :class:`~feedaudit.errors.ConfigError`.
 A fleet of at least ``_SPLIT_CAPTURES`` captures is sampled in two
 processes when ``store._workers`` allows two, as a large log is read:
 the sorted captures are cut before the one that holds the middle planned
-row, a forked worker samples the captures from the cut on into a batch
-of its own and sends it back in parts of whole sessions, and this
-process, having sampled the captures before the cut, appends those parts
-with their author codes unchanged (both processes code an author by its
-world index). Every session has its own random stream, so each column
-is the one the serial loop builds. When the worker raises or dies before
-it has sent everything, this process samples its captures too, so the
-first error in capture order, and its message, are the serial loop's.
+row, a forked worker samples the captures from the cut on into its copy
+of the columns and writes the author, displayed-author and flag bytes of
+their rows (9 per row) back through a pipe, and this process, having
+sampled the captures before the cut, reads them into its own columns.
+Every session has its own random stream, so each column is the one the
+serial loop builds. When the worker raises or dies before it has written
+every byte, this process samples its captures too, so the first error in
+capture order, and its message, are the serial loop's.
 """
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property, lru_cache
@@ -76,25 +81,24 @@ from .model import (
     FLAG_RETWEET,
     GROUP_ORDER,
     AuthorId,
-    BatchBuilder,
     GroupLabel,
     MonitorAccount,
+    SessionBatch,
     SessionRecord,
     ensure_utc,
     lean_label,
 )
-from .store import _forked, _receive_batch, _send_batch, _workers
+from .store import _forked, _workers
 
 _DEFAULT_START = datetime(2024, 10, 2, tzinfo=timezone.utc)
 # The tolerance Generator.choice allows on the sum of float64 probabilities.
 _P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 #: Fleets of fewer captures are sampled in one process. The worker's
-#: sessions come back through the pipe at about 0.17 us a row (14 ms for
-#: 83,200 rows), and on a 2-CPU VM 128 sessions of 100 rows sampled 11%
-#: slower in two processes than in one, 256 sessions of 500 to 700 rows
-#: as fast, 256 sessions of 100 rows 7% faster and 1,920 of them 24%
-#: faster (medians of 10 to 15 alternating runs).
-_SPLIT_CAPTURES = 256
+#: rows come back as 9 raw bytes each, and on a 2-CPU VM (medians of 30
+#: alternating runs of each) 64 sessions of 100 rows sampled 5% slower
+#: in two processes than in one, 128 of them 11% faster, 256 22% faster
+#: and 1,920 33% faster; 128 sessions of 500 to 700 rows 25% faster.
+_SPLIT_CAPTURES = 128
 
 
 @dataclass(frozen=True)
@@ -262,15 +266,7 @@ def build_world(
                 cursor += 1
             pools[name] = tuple(members)
 
-    authors = tuple(
-        SimAuthor(
-            id=ids[i],
-            lean=float(leans[i]),
-            popularity=float(popularity[i]),
-            post_rate=float(post_rate[i]),
-        )
-        for i in range(n_authors)
-    )
+    authors = tuple(map(SimAuthor, ids, leans.tolist(), popularity.tolist(), post_rate.tolist()))
     return SimWorld(authors=authors, pools=pools)
 
 
@@ -461,17 +457,54 @@ def make_monitors(
 
 
 @lru_cache(maxsize=8)
-def _tweet_suffixes(length: int) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+def _tweet_suffixes(length: int) -> tuple[tuple[str, ...], np.ndarray]:
     """For sessions of ``length`` rows: ``""`` then the suffix of each
     rank, ``":0001"`` on (four digits or more), which a session id joins
-    into the session's tweet ids; the running total of the suffix
-    lengths; and the ranks 1..length."""
-    suffixes = tuple(f":{r:04d}" for r in range(1, length + 1))
+    into the session's tweet ids; and the running total of the suffix
+    lengths, from 0 for rank 0."""
+    suffixes = ("", *(f":{r:04d}" for r in range(1, length + 1)))
     ends = np.cumsum([len(x) for x in suffixes], dtype=np.int64)
-    ranks = np.arange(1, length + 1, dtype=np.int32)
-    for values in (ends, ranks):
-        values.setflags(write=False)
-    return ("", *suffixes), ends, ranks
+    ends.setflags(write=False)
+    return suffixes, ends
+
+
+def _cumulative(weights: np.ndarray) -> np.ndarray | None:
+    """The cumulative table of ``p = weights / weights.sum()``, or None
+    when ``p`` fails the checks ``Generator.choice`` makes on it: finite,
+    non-negative, and summing to 1 within sqrt(eps)."""
+    with np.errstate(invalid="ignore"):
+        p = weights / weights.sum()
+    if not (np.isfinite(p).all() and (p >= 0).all() and abs(p.sum() - 1.0) <= _P_ATOL):
+        return None
+    table = p.cumsum()
+    table /= table[-1]
+    return table
+
+
+class _Ranker:
+    """The sampling state of one world under fixed params: the per-author
+    arrays that do not depend on the monitor, computed once, and the
+    last :class:`_MonitorSampler` built, which the next monitor of the
+    same group and follows shares (as all neutral monitors do). Only
+    that one is kept, so a fleet's samplers do not pile up in memory."""
+
+    def __init__(self, world: SimWorld, params: RankerParams):
+        self.world = world
+        self.params = params
+        gamma = params.popularity_exponent
+        pop = world.popularity_array
+        # An overflowing weight is reported by _MonitorSampler as a config error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.pop_weight = pop**gamma
+        self.pop_score = gamma * np.log(pop)
+        self.retweet_table = _cumulative(self.pop_weight)
+        self._last: tuple[tuple, _MonitorSampler] | None = None
+
+    def sampler(self, monitor: MonitorAccount) -> _MonitorSampler:
+        key = (monitor.group, monitor.follows)
+        if self._last is None or self._last[0] != key:
+            self._last = key, _MonitorSampler(self, monitor)
+        return self._last[1]
 
 
 class _MonitorSampler:
@@ -489,12 +522,11 @@ class _MonitorSampler:
     per table.
     """
 
-    def __init__(self, world: SimWorld, monitor: MonitorAccount, params: RankerParams):
-        self.world = world
+    def __init__(self, ranker: _Ranker, monitor: MonitorAccount):
+        world = ranker.world
         self.monitor = monitor
-        self.params = params
+        self.params = params = ranker.params
         lean = world.lean_array
-        pop = world.popularity_array
 
         follow_idx = np.array(
             sorted(world.index[a] for a in monitor.follows), dtype=np.intp
@@ -505,7 +537,6 @@ class _MonitorSampler:
         viewer_lean = (
             float(lean[follow_idx].mean()) if self.has_follows else params.default_lean
         )
-        self.viewer_lean = viewer_lean
 
         cand_mask = np.ones(world.n_authors, dtype=bool)
         cand_mask[follow_idx] = False
@@ -515,28 +546,23 @@ class _MonitorSampler:
                 f"monitor {monitor.id} follows every author; no out-of-network candidates"
             )
 
-        gamma = params.popularity_exponent
         kappa = params.alignment_strength
         align = 1.0 - np.abs(viewer_lean - lean)
-        # An overflowing weight is reported by _table as a config error.
         with np.errstate(over="ignore", invalid="ignore"):
-            weights = pop**gamma * np.exp(kappa * align)
-        self.oon_table = self._table(weights[self.cand_idx])
+            weights = ranker.pop_weight * np.exp(kappa * align)
+        self.oon_table = self._checked(_cumulative(weights[self.cand_idx]))
         # Ranking score: log of the same relevance weight.
-        self.score = gamma * np.log(pop) + kappa * align
+        self.score = ranker.pop_score + kappa * align
 
         if self.has_follows:
-            self.in_table = self._table(world.post_rate_array[follow_idx])
+            self.in_table = self._checked(_cumulative(world.post_rate_array[follow_idx]))
         self.mix = params.mix_for(monitor.group)
-        self.retweet_table = self._table(pop**gamma)
+        self.retweet_table = self._checked(ranker.retweet_table)
 
-    def _table(self, weights: np.ndarray) -> np.ndarray:
-        """The cumulative table of ``p = weights / weights.sum()``, after
-        the checks ``Generator.choice`` makes on ``p``: finite,
-        non-negative, and summing to 1 within sqrt(eps)."""
-        with np.errstate(invalid="ignore"):
-            p = weights / weights.sum()
-        if not (np.isfinite(p).all() and (p >= 0).all() and abs(p.sum() - 1.0) <= _P_ATOL):
+    def _checked(self, table: np.ndarray | None) -> np.ndarray:
+        """``table``, or the config error of weights that fail the checks
+        of :func:`_cumulative`."""
+        if table is None:
             params = self.params
             raise ConfigError(
                 f"monitor {self.monitor.id}: sampling weights are not finite probabilities "
@@ -545,64 +571,92 @@ class _MonitorSampler:
                 "exp(alignment_strength * align) or popularity ** popularity_exponent "
                 "overflows or underflows float64"
             )
-        table = p.cumsum()
-        table /= table[-1]
         return table
 
-    def session(
-        self,
-        batch: BatchBuilder,
-        rng: np.random.Generator,
-        length: int,
-        session_id: str,
-        monitor_id: str,
-        group: GroupLabel,
-        captured_at: datetime,
+    def sample(
+        self, rngs: Iterable[np.random.Generator], author: np.ndarray, shown: np.ndarray, flags: np.ndarray
     ) -> None:
-        """Sample one session and append it to ``batch``."""
+        """Sample one session from each generator of ``rngs`` into the
+        rows of ``author``, ``shown`` and ``flags``, arrays of shape
+        (sessions, length). A session takes the numbers from its
+        generator that it takes sampled on its own: the binomial count
+        of out-of-network rows, one uniform per row for the table draws,
+        the rank jitter, two uniforms per row for the flags and one per
+        retweet for its original."""
         params = self.params
-        if self.has_follows:
-            n_oon = int(rng.binomial(length, self.mix))
-        else:
-            n_oon = length
-        n_in = length - n_oon
+        n, length = flags.shape
+        rt_rate = params.retweet_rate
+        draws = np.empty((n, length))
+        jitter = np.empty((n, length))
+        cats = np.empty((n, 2, length))
+        n_oon = np.full((n, 1), length)
+        originals = []
+        for i, rng in enumerate(rngs):
+            if self.has_follows:
+                n_oon[i] = rng.binomial(length, self.mix)
+            rng.random(out=draws[i])
+            if params.rank_jitter > 0:
+                jitter[i] = rng.gumbel(0.0, params.rank_jitter, size=length)
+            rng.random(out=cats[i])
+            n_rt = np.count_nonzero(cats[i, 0] < rt_rate)
+            if n_rt:
+                originals.append(rng.random(n_rt))
 
-        displayed = np.empty(length, dtype=np.intp)
-        in_network = np.zeros(length, dtype=bool)
-        displayed[:n_oon] = self.cand_idx[self.oon_table.searchsorted(rng.random(n_oon), side="right")]
-        if n_in:
-            displayed[n_oon:] = self.follow_idx[self.in_table.searchsorted(rng.random(n_in), side="right")]
-            in_network[n_oon:] = True
+        in_network = np.arange(length) >= n_oon
+        displayed = self.cand_idx[self.oon_table.searchsorted(draws, side="right")]
+        if self.has_follows:
+            displayed[in_network] = self.follow_idx[self.in_table.searchsorted(draws[in_network], side="right")]
 
         scores = self.score[displayed]
         if params.rank_jitter > 0:
-            scores = scores + rng.gumbel(0.0, params.rank_jitter, size=length)
-        order = np.argsort(-scores, kind="stable")
-        displayed = displayed[order]
-        in_network = in_network[order]
+            scores += jitter
+        order = np.argsort(-scores, axis=1, kind="stable")
+        shown[...] = author[...] = np.take_along_axis(displayed, order, 1)
+        in_network = np.take_along_axis(in_network, order, 1)
 
-        cat = rng.random(length)
-        is_retweet = cat < params.retweet_rate
-        is_quote = (~is_retweet) & (cat < params.retweet_rate + params.quote_rate)
-        is_promoted = rng.random(length) < params.promoted_rate
-
-        original = displayed.copy()
-        n_rt = int(is_retweet.sum())
-        if n_rt:
-            original[is_retweet] = self.retweet_table.searchsorted(rng.random(n_rt), side="right")
-
-        flags = (
+        cat, promoted = cats[:, 0], cats[:, 1]
+        is_retweet = cat < rt_rate
+        is_quote = (~is_retweet) & (cat < rt_rate + params.quote_rate)
+        if originals:
+            author[is_retweet] = self.retweet_table.searchsorted(np.concatenate(originals), side="right")
+        flags[...] = (
             is_retweet * FLAG_RETWEET
             | is_quote * FLAG_QUOTE
-            | is_promoted * FLAG_PROMOTED
+            | (promoted < params.promoted_rate) * FLAG_PROMOTED
             | in_network * FLAG_IN_NETWORK
         )
-        joins, suffix_ends, ranks = _tweet_suffixes(length)
-        prefix = f"{session_id}"
-        batch.add(
-            session_id, monitor_id, captured_at, group, original, displayed, ranks, flags,
-            prefix.join(joins), suffix_ends + len(prefix) * ranks,
-        )
+
+
+def _columns(rows: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Empty ``author``, ``shown`` and ``flags`` columns of ``rows`` rows."""
+    return np.empty(rows, np.intc), np.empty(rows, np.intc), np.empty(rows, np.uint8)
+
+
+def _batch(world: SimWorld, captures: Sequence[tuple], offsets: np.ndarray, columns: Sequence[np.ndarray]) -> SessionBatch:
+    """The batch of the sessions of ``captures``, whose rows ``offsets``
+    bounds, from their sampled ``columns``; each session's ranks and
+    tweet ids follow from its id and length."""
+    lengths = [length for *_, length in captures]
+    monitor_id, captured_at, session_id = map(tuple, zip(*(key for key, *_ in captures))) if captures else ((), (), ())
+    # Built in place, with no int64 temporary per row: ranks are the
+    # running sum of 1s, each session's first 1 lowered by the length of
+    # the session before it.
+    rank = np.ones(offsets[-1], np.intc)
+    rank[offsets[1:-1]] -= np.diff(offsets[:-1])
+    np.cumsum(rank, out=rank)
+    _, suffix_ends = _tweet_suffixes(max(lengths, default=0))
+    tweet_ends = suffix_ends[rank]
+    id_lengths = np.repeat(np.fromiter(map(len, session_id), np.intc, len(captures)), lengths)
+    id_lengths *= rank
+    tweet_ends += id_lengths
+    tweet_text = tuple(sid.join(_tweet_suffixes(length)[0]) for sid, length in zip(session_id, lengths))
+    author, shown, flags = columns
+    for values in (author, shown, rank, flags, tweet_ends, offsets):
+        values.flags.writeable = False
+    return SessionBatch(
+        world.ids, author, shown, rank, flags, tweet_ends, offsets,
+        tweet_text, session_id, monitor_id, captured_at, tuple(monitor.group for _, monitor, *_ in captures),
+    )
 
 
 def rank_timeline(
@@ -622,20 +676,13 @@ def rank_timeline(
     """
     if length < 1:
         raise ConfigError(f"length must be >= 1, got {length}")
-    sampler = _MonitorSampler(world, monitor, params)
+    sampler = _Ranker(world, params).sampler(monitor)
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=(7,)))
-    batch = BatchBuilder()
-    sampler.session(
-        batch,
-        rng,
-        length,
-        session_id or f"{monitor.id}-adhoc",
-        monitor.id,
-        monitor.group,
-        ensure_utc(captured_at) if captured_at else monitor.created_at,
-    )
-    return batch.build(world.ids).records()[0]
+    columns = _columns(length)
+    sampler.sample([rng], *(c.reshape(1, length) for c in columns))
+    key = (monitor.id, ensure_utc(captured_at) if captured_at else monitor.created_at, session_id or f"{monitor.id}-adhoc")
+    return _batch(world, [(key, monitor, None, length)], np.array([0, length]), columns).records()[0]
 
 
 def run_fleet(
@@ -679,52 +726,56 @@ def run_fleet(
                 captures.append(((monitor_id, captured_at, session_id), monitor, (gi, mi, day, slot), length))
     captures.sort(key=itemgetter(0))
 
+    offsets = np.concatenate(([0], np.cumsum([length for *_, length in captures], dtype=np.int64)))
+    columns = _columns(offsets[-1])
+    ranker = _Ranker(world, params)
     # The worker's half starts at the capture that holds the middle row.
-    rows = np.cumsum([length for *_, length in captures])
-    cut = int(np.searchsorted(rows, rows[-1] / 2, "right")) if len(captures) > 1 else 0
+    cut = int(np.searchsorted(offsets[1:], offsets[-1] / 2, "right")) if len(captures) > 1 else 0
     if cut and len(captures) >= _SPLIT_CAPTURES and _workers() > 1:
-        batch = _sample_in_two(world, params, captures, cut)
+        _sample_in_two(ranker, captures, offsets, columns, cut)
     else:
-        batch = BatchBuilder()
-        _sample(world, params, captures, batch)
-    return batch.build(world.ids).records()
+        _sample(ranker, captures, offsets, columns, 0, len(captures))
+    return _batch(world, captures, offsets, columns).records()
 
 
-def _sample(world: SimWorld, params: RankerParams, captures: Sequence[tuple], batch: BatchBuilder) -> None:
-    """Sample the sessions of ``captures``, in order, into ``batch``."""
-    sampler = None
-    for (monitor_id, captured_at, session_id), monitor, stream, length in captures:
-        if sampler is None or sampler.monitor is not monitor:
-            sampler = _MonitorSampler(world, monitor, params)
-        rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=stream))
-        sampler.session(batch, rng, length, session_id, monitor_id, monitor.group, captured_at)
+def _sample(
+    ranker: _Ranker, captures: Sequence[tuple], offsets: np.ndarray, columns: Sequence[np.ndarray], start: int, stop: int
+) -> None:
+    """Sample the sessions of ``captures[start:stop]`` into their rows of
+    ``columns``, each monitor's run of consecutive captures as one batch."""
+    seed = ranker.params.seed
+    while start < stop:
+        _, monitor, _, length = captures[start]
+        end = start + 1
+        while end < stop and captures[end][1] is monitor:
+            end += 1
+        sampler = ranker.sampler(monitor)
+        rngs = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=c[2])) for c in captures[start:end])
+        rows = slice(offsets[start], offsets[end])
+        sampler.sample(rngs, *(c[rows].reshape(end - start, length) for c in columns))
+        start = end
 
 
-def _sample_in_two(world: SimWorld, params: RankerParams, captures: Sequence[tuple], cut: int) -> BatchBuilder:
-    """The batch :func:`_sample` builds from ``captures``, with the
-    captures from ``cut`` on sampled in a forked worker; see the module
+def _sample_in_two(
+    ranker: _Ranker, captures: Sequence[tuple], offsets: np.ndarray, columns: Sequence[np.ndarray], cut: int
+) -> None:
+    """What :func:`_sample` does over every capture, with the captures
+    from ``cut`` on sampled in a forked worker; see the module
     docstring."""
+    stop = len(captures)
+    tail = [memoryview(c[offsets[cut]:]).cast("B") for c in columns]
 
     def work(out: BinaryIO) -> None:
-        tail = BatchBuilder()
-        _sample(world, params, captures[cut:], tail)
-        _send_batch(tail.build(()), out)
+        _sample(ranker, captures, offsets, columns, cut, stop)
+        for view in tail:
+            out.write(view)
 
-    codes = np.arange(world.n_authors, dtype=np.intc)  # both sides code authors by world index
-    batch = BatchBuilder()
     with _forked(work) as results:
-        _sample(world, params, captures[:cut], batch)
-        try:
-            _receive_batch(results, batch, codes)
-            return batch
-        except (EOFError, pickle.UnpicklingError):
-            pass
-    # Drop what the worker sent before it stopped, and sample its half.
-    head = batch.build(()).part(0, cut)
-    batch = BatchBuilder()
-    batch.extend(head, codes)
-    _sample(world, params, captures[cut:], batch)
-    return batch
+        _sample(ranker, captures, offsets, columns, 0, cut)
+        if sum(map(results.readinto, tail)) == sum(view.nbytes for view in tail):
+            return
+    # The worker stopped short: sample its half here.
+    _sample(ranker, captures, offsets, columns, cut, stop)
 
 
 def lean_labels(

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import io
 import os
-import pickle
 from datetime import timedelta
 
 import numpy as np
@@ -28,7 +28,7 @@ from feedaudit import (
     run_fleet,
 )
 from feedaudit import simkit
-from feedaudit.model import FLAG_IN_NETWORK, FLAG_PROMOTED, FLAG_QUOTE, FLAG_RETWEET, batch_of
+from feedaudit.model import FLAG_IN_NETWORK, FLAG_PROMOTED, FLAG_QUOTE, FLAG_RETWEET, BatchBuilder, batch_of
 from feedaudit.simkit import SimWorld
 
 from conftest import T0
@@ -432,15 +432,59 @@ _BATCH_COLUMNS = (
 )
 
 
+def _assert_same_batch(got, want):
+    """Every column of two batches equal, down to each array's dtype."""
+    assert len(got) == len(want)
+    for name in _BATCH_COLUMNS:
+        a, b = getattr(got, name), getattr(want, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:
+            assert a == b, name
+
+
+def reference_fleet(world, fleet, params, monitors=None):
+    """The batch of ``run_fleet``'s capture schedule, written out again
+    here: every (monitor, day, slot) capture in canonical order, each
+    session sampled on its own by :class:`ReferenceSampler` from the
+    generator of its (group, monitor, day, slot) stream."""
+    monitors = make_monitors(world, fleet, params.seed) if monitors is None else monitors
+    captures, per_group = [], {}
+    for monitor in monitors:
+        gi = list(GroupLabel).index(monitor.group)
+        mi = per_group.setdefault(monitor.group, 0)
+        per_group[monitor.group] += 1
+        churn = fleet.neutral_churn_days if monitor.group is GroupLabel.NEUTRAL else 0
+        for day in range(fleet.duration_days):
+            monitor_id = f"{monitor.id}-e{day // churn:02d}" if churn else monitor.id
+            for slot in range(fleet.sessions_per_day):
+                at = fleet.start + timedelta(days=day, seconds=slot * (86400 // fleet.sessions_per_day))
+                captures.append((monitor_id, at, f"{monitor_id}-d{day:03d}-t{slot:02d}", monitor, (gi, mi, day, slot)))
+    builder = BatchBuilder()
+    for monitor_id, at, session_id, monitor, stream in sorted(captures, key=lambda c: c[:3]):
+        rng = np.random.default_rng(np.random.SeedSequence(params.seed, spawn_key=stream))
+        ReferenceSampler(world, monitor, params).session(
+            builder, rng, fleet.length_for(monitor.group), session_id, monitor_id, monitor.group, at
+        )
+    return builder.build(world.ids)
+
+
 def _one_follow(world, fleet):
     return [MonitorAccount("left-solo", GroupLabel.LEFT, frozenset({world.ids[3]}), fleet.start)]
 
 
+def _same_follows(world, fleet):
+    # two left monitors with equal follows, which share a sampler, then a
+    # balanced one with them too, which must not
+    follows = make_monitors(world, fleet, 11)[2].follows
+    return [MonitorAccount(m, g, follows, fleet.start) for m, g in [("a", GroupLabel.LEFT), ("b", GroupLabel.LEFT), ("c", GroupLabel.BALANCED)]]
+
+
 class TestSamplerDifferential:
-    """``run_fleet`` against :class:`ReferenceSampler`, column by column.
+    """``run_fleet`` against :func:`reference_fleet`, column by column.
     numpy is not pinned, so this, rather than a fixed digest, guards
-    that the per-monitor tables draw the same streams as
-    ``Generator.choice``."""
+    that the per-monitor tables and batches draw the same streams as
+    ``Generator.choice`` one session at a time."""
 
     @pytest.mark.parametrize(
         "world_kw, fleet_kw, params_kw, monitors",
@@ -455,23 +499,32 @@ class TestSamplerDifferential:
             pytest.param({}, {"duration_days": 2}, {}, _one_follow, id="one-follow"),
             pytest.param({}, {"duration_days": 3, "neutral_churn_days": 1}, {}, None, id="neutral-churn"),
             pytest.param({}, {"duration_days": 2}, {"rank_jitter": 0.0}, None, id="rank-jitter-0"),
+            pytest.param({}, {"session_length": {"neutral": 10, "default": 37}}, {}, None, id="odd-lengths"),
+            pytest.param({}, {"duration_days": 1, "sessions_per_day": 1}, {}, None, id="one-capture-each"),
+            pytest.param(
+                {}, {"duration_days": 2}, {"retweet_rate": 0.0, "promoted_rate": 1.0}, None, id="no-retweets-all-promoted",
+            ),
+            pytest.param({}, {"duration_days": 2}, {}, _same_follows, id="same-follows"),
         ],
     )
-    def test_matches_choice(self, monkeypatch, world_kw, fleet_kw, params_kw, monitors):
+    def test_matches_choice(self, world_kw, fleet_kw, params_kw, monitors):
         world = build_world(seed=11, **world_kw)
         fleet = small_fleet(**fleet_kw)
         params = RankerParams(seed=11, **params_kw)
         fleet_monitors = monitors(world, fleet) if monitors else None
         got, _ = batch_of(run_fleet(world, fleet, params, fleet_monitors))
-        monkeypatch.setattr(simkit, "_MonitorSampler", ReferenceSampler)
-        want, _ = batch_of(run_fleet(world, fleet, params, fleet_monitors))
-        assert len(got) == len(want) > 0
-        for name in _BATCH_COLUMNS:
-            a, b = getattr(got, name), getattr(want, name)
-            if isinstance(a, np.ndarray):
-                assert a.dtype == b.dtype and np.array_equal(a, b), name
-            else:
-                assert a == b, name
+        assert len(got) > 0
+        _assert_same_batch(got, reference_fleet(world, fleet, params, fleet_monitors))
+
+    @pytest.mark.parametrize("group", [GroupLabel.NEUTRAL, GroupLabel.RIGHT])
+    def test_rank_timeline_explicit_rng(self, group):
+        world = build_world(seed=11)
+        monitor = [m for m in make_monitors(world, small_fleet(), 11) if m.group is group][0]
+        params = RankerParams(seed=11, retweet_rate=0.2)
+        got = rank_timeline(world, monitor, params, length=137, session_id="s", captured_at=T0, rng=np.random.default_rng(5))
+        builder = BatchBuilder()
+        ReferenceSampler(world, monitor, params).session(builder, np.random.default_rng(5), 137, "s", monitor.id, group, T0)
+        _assert_same_batch(batch_of([got])[0], builder.build(world.ids))
 
 
 @pytest.fixture
@@ -513,14 +566,8 @@ def _split_fleet(monkeypatch, *args):
         want = _outcome(*args)
     if isinstance(want, tuple):
         assert got == want
-        return got
-    assert len(got) == len(want)
-    for name in _BATCH_COLUMNS:
-        a, b = getattr(got, name), getattr(want, name)
-        if isinstance(a, np.ndarray):
-            assert a.dtype == b.dtype and np.array_equal(a, b), name
-        else:
-            assert a == b, name
+    else:
+        _assert_same_batch(got, want)
     return got
 
 
@@ -579,17 +626,24 @@ class TestSplitFleet:
         assert got == (DataError, f"monitor {bad[0]} follows every author; no out-of-network candidates")
         assert len(split) == 1
 
-    @pytest.mark.parametrize("parts", [0, 1])
-    def test_worker_stops_early(self, monkeypatch, split, parts):
-        # the worker leaves after sending ``parts`` sessions: this process
+    @pytest.mark.parametrize("kept", ["0-bytes", "mid-column", "one-byte-short"])
+    def test_worker_stops_early(self, monkeypatch, split, kept):
+        # the worker leaves with its bytes cut short: this process
         # samples the worker's captures again
-        def stopped(batch, out):
-            for i in range(parts):
-                pickle.dump(batch.part(i, i + 1), out, pickle.HIGHEST_PROTOCOL)
-            out.flush()
-            os._exit(0)
+        forked = simkit._forked
 
-        monkeypatch.setattr(simkit, "_send_batch", stopped)
+        def cut_short(work):
+            def stopped(out):
+                sent = io.BytesIO()
+                work(sent)
+                data = sent.getvalue()  # author, shown (4 bytes a row) and flags (1)
+                out.write(data[: {"0-bytes": 0, "mid-column": len(data) // 3 + 1, "one-byte-short": len(data) - 1}[kept]])
+                out.flush()
+                os._exit(0)
+
+            return forked(stopped)
+
+        monkeypatch.setattr(simkit, "_forked", cut_short)
         world = build_world(seed=11)
         got = _split_fleet(monkeypatch, world, small_fleet(), RankerParams(seed=11))
         assert len(got) == 48 and len(split) == 1
