@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import AnalysisError, ConfigError, DataError
-from .metrics import ExposureTable, _authors, _stack, group_exposures
+from .metrics import ExposureTable, _authors, _id_order, _stack, group_exposures
 from .model import AuthorId, LEAN_UNKNOWN
 from .mwu import MODE_AUTO, _mann_whitney_entries, mann_whitney_u
 
@@ -61,12 +61,6 @@ for _field in fields(AmplificationRow):
     _field.default = MISSING
 
 
-def _ranked(values: np.ndarray, id_rank: np.ndarray) -> np.ndarray:
-    """Positions of ``values`` by descending value, ties broken by the
-    authors' id order ``id_rank``."""
-    return np.lexsort((id_rank, -values))
-
-
 def build_amplification_report(
     partisan_tables: Sequence[ExposureTable],
     baseline_tables: Sequence[ExposureTable],
@@ -89,8 +83,11 @@ def build_amplification_report(
     Both groups need at least two monitors for the rank test to be
     meaningful.
 
-    The tables are stacked once (``metrics._stack``). Group means come
-    from ``group_exposures``, and each candidate's rank test from its
+    The tables are stacked once (``metrics._stack``), with their authors
+    in id order: the cached order of the tables' batch, or for tables
+    built by hand their ids sorted on each call. A stable sort of
+    values in that order breaks ties by id. Group means come from
+    ``group_exposures``, and each candidate's rank test from its
     non-zero entries in the stack: the partisan tables' entries are
     sample A, the baseline's sample B, and every monitor without an
     entry, or with an explicit 0.0, counts exposure 0.
@@ -104,14 +101,14 @@ def build_amplification_report(
 
     n_part = len(partisan_tables)
     n_base = len(baseline_tables)
-    ids, codes, values, bounds = _stack([*partisan_tables, *baseline_tables])
-    authors, codes = _authors(ids, codes)
+    tables = [*partisan_tables, *baseline_tables]
+    ids, codes, values, bounds = _stack(tables)
+    authors, codes = _authors(ids, codes, _id_order(tables, ids))
     partisan_means, partisan_seen = group_exposures(codes, values, bounds[: n_part + 1], len(authors))
     baseline_means, baseline_seen = group_exposures(codes, values, bounds[n_part:], len(authors))
     pooled = (partisan_means * n_part + baseline_means * n_base) / (n_part + n_base)
-    id_rank = np.empty(len(authors), dtype=np.intp)
-    id_rank[sorted(range(len(authors)), key=authors.__getitem__)] = np.arange(len(authors))
-    candidates = _ranked(pooled, id_rank)[:top]
+    # Candidates in id order, as the authors are.
+    candidates = np.sort(np.argsort(-pooled, kind="stable")[:top])
     # The tests take each candidate's non-zero entries straight from the
     # stack: an entry's author position maps to its candidate's row.
     row = np.full(len(authors), -1, dtype=np.intp)
@@ -122,7 +119,7 @@ def build_amplification_report(
         row[tested], values[tested], tested < bounds[n_part], len(candidates), n_part, n_base, mode
     )
     ratios = amplification_ratio(partisan_means[candidates], baseline_means[candidates])
-    order = _ranked(ratios, id_rank[candidates])
+    order = np.argsort(-ratios, kind="stable")
     ranked = candidates[order]
     author_ids = list(map(authors.__getitem__, ranked.tolist()))
     # An author a group never saw gets the float 0.0 as that group's

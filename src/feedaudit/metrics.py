@@ -10,7 +10,8 @@ so exposures stay comparable across scopes.
 
 A table that ``build_exposure_table`` makes holds arrays: the codes of
 the authors it saw, into the id list of the batch its sessions came
-from, in order of first appearance, and their float64 exposures. Its
+from, in order of first appearance, and their float64 exposures. It
+keeps that batch, whose cached ``id_order`` breaks ties by author id. Its
 ``entries`` read like a dict of numpy scalars, which is built only when
 an author is looked up. The consumers below read the arrays and stack
 tables of one batch by their codes, so they make no per-author Python
@@ -35,8 +36,10 @@ from .model import (
     LEAN_UNKNOWN,
     AuthorId,
     GroupLabel,
+    SessionBatch,
     SessionRecord,
     batch_of,
+    string_order,
 )
 
 # Which appearances count toward exposure.
@@ -53,19 +56,19 @@ _ATTRIBUTIONS = (ATTR_ORIGINAL, ATTR_DISPLAYED)
 
 class _Entries(Mapping):
     """The read-only entries of a built table, kept as arrays: ``codes``
-    into the author ids ``ids``, in order of first appearance, and each
-    code's float64 ``exposure``.
+    into the author ids ``ids`` of ``batch``, in order of first
+    appearance, and each code's float64 ``exposure``.
 
     Keys, values and items are read from the arrays, the values as the
     numpy scalars a dict of them would hold. Looking an author up needs a
     dict, which is built the first time it is needed.
     """
 
-    __slots__ = ("ids", "codes", "exposure", "_dict")
+    __slots__ = ("batch", "ids", "codes", "exposure", "_dict")
 
-    def __init__(self, ids: Sequence[AuthorId], codes: np.ndarray, exposure: np.ndarray) -> None:
+    def __init__(self, batch: SessionBatch, codes: np.ndarray, exposure: np.ndarray) -> None:
         codes.flags.writeable = exposure.flags.writeable = False
-        self.ids, self.codes, self.exposure = ids, codes, exposure
+        self.batch, self.ids, self.codes, self.exposure = batch, batch.ids, codes, exposure
         self._dict: dict[AuthorId, float] | None = None
 
     def _lookup(self) -> dict[AuthorId, float]:
@@ -144,11 +147,28 @@ def _row_weights(model: DecayModel, ranks: np.ndarray, lengths: np.ndarray) -> n
     """The visibility weight of each row: ``model.weights(L)[rank - 1]``
     for a row of a session of length L, or ``model.visibility(rank)``
     for a rank past L. ``lengths`` are the sessions' lengths, in row
-    order, and at least one is positive.
+    order, and at least one is positive. A rank below 1 raises
+    DataError.
+
+    When every session has one length L and every rank is at most L,
+    one gather from ``model.weights(L)`` weighs the rows; otherwise
+    ``_mixed_row_weights`` does.
+    """
+    if int(ranks.min()) < 1:
+        raise DataError(f"rank {int(ranks[ranks < 1][0])} is below 1; ranks start at 1")
+    size = int(lengths[0])
+    if int(ranks.max()) <= size and (lengths == size).all():
+        return model.weights(size)[ranks - 1]
+    return _mixed_row_weights(model, ranks, lengths)
+
+
+def _mixed_row_weights(model: DecayModel, ranks: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``_row_weights`` of ranks of at least 1, for sessions of any
+    lengths.
 
     The weight vectors of the distinct lengths are laid end to end in
-    one table, so a single gather weighs every row with 1 <= rank <= L;
-    any other row is weighed on its own.
+    one table, so a single gather weighs every row with rank <= L; a row
+    past its session's length is weighed on its own.
     """
     sizes = sorted(set(lengths.tolist()) - {0})
     table = np.concatenate([model.weights(size) for size in sizes])
@@ -156,11 +176,10 @@ def _row_weights(model: DecayModel, ranks: np.ndarray, lengths: np.ndarray) -> n
     before = np.zeros(sizes[-1] + 1, dtype=np.intp)
     before[sizes] = list(accumulate(sizes[:-1], initial=-1))
     row_lengths = np.repeat(lengths, lengths)
-    inside = (ranks >= 1) & (ranks <= row_lengths)
-    weights = table[np.where(inside, before[row_lengths] + ranks, 0)]
-    for i in np.flatnonzero(~inside).tolist():
-        rank, length = int(ranks[i]), int(row_lengths[i])
-        weights[i] = model.weights(length)[rank - 1] if rank <= length else model.visibility(rank)
+    past = ranks > row_lengths
+    weights = table[np.where(past, 0, before[row_lengths] + ranks)]
+    for i in np.flatnonzero(past).tolist():
+        weights[i] = model.visibility(int(ranks[i]))
     return weights
 
 
@@ -209,7 +228,7 @@ def build_exposure_table(
     return ExposureTable(
         monitor_id=monitor_ids.pop(),
         total_tweets=total,
-        entries=_Entries(batch.ids, present, sums[present] * (1000.0 / total)),
+        entries=_Entries(batch, present, sums[present] * (1000.0 / total)),
         scope=scope,
         attribution=attribution,
         group=group,
@@ -286,13 +305,31 @@ def _stack(
     return list(authors), codes, values, bounds
 
 
-def _authors(ids: Sequence[AuthorId], codes: np.ndarray) -> tuple[list[AuthorId], np.ndarray]:
-    """The authors of ``codes`` in order of first appearance, and each
-    code's position among them."""
-    present = _first_seen(codes, len(ids))
+def _authors(
+    ids: Sequence[AuthorId], codes: np.ndarray, order: np.ndarray | None = None
+) -> tuple[list[AuthorId], np.ndarray]:
+    """The authors of ``codes`` and each code's position among them: in
+    order of first appearance, or in ``order``, a permutation of the
+    codes into ``ids``."""
+    if order is None:
+        present = _first_seen(codes, len(ids))
+    else:
+        seen = np.zeros(len(ids), dtype=bool)
+        seen[codes] = True
+        present = order[seen[order]]
     position = np.empty(len(ids), dtype=np.intp)
     position[present] = np.arange(len(present))
     return list(map(ids.__getitem__, present.tolist())), position[codes]
+
+
+def _id_order(tables: Sequence[ExposureTable], ids: Sequence[AuthorId]) -> np.ndarray:
+    """The codes into ``ids``, the id space ``_stack`` gave ``tables``,
+    in string order of their ids: the cached ``id_order`` of the batch
+    when the tables were stacked by its codes, else sorted here."""
+    first = tables[0].entries
+    if isinstance(first, _Entries) and first.ids is ids:
+        return first.batch.id_order
+    return string_order(ids)
 
 
 def group_exposures(

@@ -23,6 +23,7 @@ from array import array
 from dataclasses import FrozenInstanceError, dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -233,7 +234,8 @@ class SessionBatch:
 
     Session ``i`` holds rows ``offsets[i]:offsets[i + 1]``. The other
     tuples hold one value per session. Arrays are read-only, and the
-    views from :meth:`records` share them.
+    views from :meth:`records` share them. Author ids are distinct;
+    :attr:`id_order` is their string order, kept once computed.
     """
 
     ids: Sequence[AuthorId]
@@ -251,6 +253,13 @@ class SessionBatch:
 
     def __len__(self) -> int:
         return len(self.session_id)
+
+    @cached_property
+    def id_order(self) -> np.ndarray:
+        """``string_order(ids)``, sorted once, on first use."""
+        order = string_order(self.ids)
+        order.flags.writeable = False
+        return order
 
     def records(self) -> list[SessionRecord]:
         """One view per session, in order."""
@@ -407,6 +416,11 @@ class BatchBuilder:
             captured_at=captured_at,
             group=group,
         )
+
+
+def string_order(ids: Sequence[AuthorId]) -> np.ndarray:
+    """The positions of ``ids`` in string order of the ids, as ``intp``."""
+    return np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp)
 
 
 def batch_of(sessions: Iterable[SessionRecord]) -> tuple[SessionBatch, np.ndarray]:

@@ -1144,12 +1144,15 @@ def dataset_stats(sessions: Iterable[SessionRecord]) -> DatasetStats:
     batch, index = batch_of(sessions)
     flags = batch.flags[batch.rows(index)]
     lengths = batch.offsets[index + 1] - batch.offsets[index]
-    stops = np.cumsum(lengths)
-    starts = stops - lengths
+    # np.add.reduceat sums from each start to the next; an empty session
+    # would get the row after it, so only the others are reduced.
+    full = lengths > 0
+    starts = (np.cumsum(lengths) - lengths)[full]
 
     def per_session(bit: int) -> np.ndarray:
-        running = np.concatenate(([0], np.cumsum((flags & bit) != 0)))
-        return running[stops] - running[starts]
+        counts = np.zeros_like(lengths)
+        counts[full] = np.add.reduceat((flags & bit) != 0, starts, dtype=lengths.dtype)
+        return counts
 
     # per session: [sessions, tweets, out-of-network, retweets, quotes, promoted]
     per = np.column_stack([

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import inspect
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from feedaudit import (
+    ATTR_DISPLAYED,
+    ATTR_ORIGINAL,
     SCOPE_ALL,
     SCOPE_OON,
     AmplificationRow,
@@ -457,6 +460,74 @@ class TestAgainstDictReference:
                 report(part, base, top=3)
             # Outside the top the negative author is never tested.
             assert len(report(part, base, top=2)) == 2
+
+
+@pytest.fixture(scope="module")
+def sweep_tables():
+    """{(scope, attribution): {group: [per-monitor table]}} for the left,
+    right and balanced monitors of the benchmark's audit-sweep fleet
+    (5,000 authors, 30 monitors per group, four days of 100-row
+    sessions), and the world's lean labels."""
+    world = build_world(n_authors=5000, seed=7)
+    fleet = FleetConfig(monitors_per_group=30, duration_days=4, session_length=100)
+    params = RankerParams(seed=7)
+    grouped = {}
+    for s in run_fleet(world, fleet, params, make_monitors(world, fleet, params.seed)):
+        grouped.setdefault(s.group, {}).setdefault(s.monitor_id, []).append(s)
+    model = calibrate(100)
+    tables = {
+        (scope, attribution): {
+            g: [build_exposure_table(mons[m], model, scope=scope, attribution=attribution) for m in sorted(mons)]
+            for g, mons in grouped.items()
+            if g is not GroupLabel.NEUTRAL
+        }
+        for scope in (SCOPE_OON, SCOPE_ALL)
+        for attribution in (ATTR_ORIGINAL, ATTR_DISPLAYED)
+    }
+    return tables, lean_labels(world)
+
+
+class TestTieOrderAtPaperScale:
+    """Tables built from one batch break ties by its cached id order;
+    the same tables rebuilt by hand sort their ids on each call. At
+    paper scale many authors share a pooled mean or a ratio, so both
+    must give the rows that Python's ``sorted`` gives."""
+
+    @staticmethod
+    def ids(rows):
+        return [r.author_id for r in rows]
+
+    @pytest.mark.parametrize("scope", [SCOPE_OON, SCOPE_ALL])
+    @pytest.mark.parametrize("attribution", [ATTR_ORIGINAL, ATTR_DISPLAYED])
+    def test_batch_hand_and_sorted_orders_agree(self, sweep_tables, scope, attribution):
+        tables, leans = sweep_tables
+        base = tables[scope, attribution][GroupLabel.BALANCED]
+        for side in (GroupLabel.LEFT, GroupLabel.RIGHT):
+            part = tables[scope, attribution][side]
+            hand = [dataclasses.replace(t, entries=dict(t.entries)) for t in (*part, *base)]
+            hand_part, hand_base = hand[: len(part)], hand[len(part):]
+            observed = {a for t in hand for a in t.entries}
+            rows = build_amplification_report(part, base, top=len(observed), leans=leans)
+            hand_rows = build_amplification_report(hand_part, hand_base, top=len(observed), leans=leans)
+            assert {r.author_id for r in rows} == observed
+            assert repr(rows) == repr(hand_rows)
+            assert self.ids(rows) == self.ids(sorted(rows, key=lambda r: (-r.ratio_pct, r.author_id)))
+            # Each author's pooled mean, with the report's arithmetic.
+            n = len(part) + len(base)
+            pooled = {r.author_id: (r.partisan_mean * len(part) + r.baseline_mean * len(base)) / n for r in rows}
+            ratios = Counter(r.ratio_pct for r in rows)
+            pooled_counts = Counter(pooled.values())
+            tied = sum(ratios[r.ratio_pct] > 1 or pooled_counts[pooled[r.author_id]] > 1 for r in rows)
+            assert tied > len(rows) // 4
+            # A cut through the middle of the largest run of equal pooled
+            # means keeps its authors of smallest id.
+            by_pooled = sorted(pooled, key=lambda a: (-pooled[a], a))
+            value, count = pooled_counts.most_common(1)[0]
+            top = by_pooled.index(next(a for a in by_pooled if pooled[a] == value)) + count // 2
+            cut = build_amplification_report(part, base, top=top, leans=leans)
+            assert repr(cut) == repr(build_amplification_report(hand_part, hand_base, top=top, leans=leans))
+            assert {r.author_id for r in cut} == set(by_pooled[:top])
+            assert self.ids(cut) == self.ids(sorted(cut, key=lambda r: (-r.ratio_pct, r.author_id)))
 
 
 class TestMagnitude:

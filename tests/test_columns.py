@@ -206,6 +206,42 @@ class TestKernelsAgainstRowReferences:
             assert outcome(dataset_stats, given_) == outcome(reference_dataset_stats, records)
 
 
+class TestDatasetStatsSegments:
+    """``dataset_stats`` sums each session's flags with
+    ``np.add.reduceat``, which gives an empty segment the row after it
+    rather than 0, and cannot start a segment at the end of the rows."""
+
+    @staticmethod
+    def full(k, monitor="m1", group="left"):
+        flags = [dict(rt=True), dict(quote=True, in_net=True), dict(promoted=True), {}]
+        return session(
+            f"s{k}", monitor, [entry(r, "a", **flags[(r + k) % 4]) for r in range(1, k + 2)], group=group
+        )
+
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            "e..",  # an empty session first,
+            ".e.",  # in the middle,
+            "..e",  # last,
+            "ee.e.ee",
+            ".u.",  # an ungrouped session,
+            "u",
+            ".",  # a single session
+            "e",
+        ],
+    )
+    def test_equal_to_counts_from_entries(self, layout):
+        records = []
+        for k, c in enumerate(layout):
+            if c == "e":
+                records.append(session(f"s{k}", "m1", [], group="left"))
+            else:
+                records.append(self.full(k, monitor="m1" if k % 2 else "m2", group=None if c == "u" else "left"))
+        for hand, given_ in as_given(records, 3):
+            assert outcome(dataset_stats, given_) == outcome(reference_dataset_stats, hand)
+
+
 class TestRecordViews:
     def test_views_equal_their_records(self):
         records = [

@@ -12,6 +12,7 @@ from feedaudit import (
     ConfigError,
     DataError,
     ExposureTable,
+    LorenzCurve,
     average_lorenz,
     gini,
     group_gini_distribution,
@@ -165,6 +166,22 @@ class TestAverageLorenz:
         curves = [lorenz([1, 2, 3])] * 4
         band = average_lorenz(curves)
         assert np.allclose(band.std, 0.0)
+
+    def test_hand_built_curves_equal_asarray_resampling(self):
+        # Curves on non-uniform x, one with int coordinates and one with
+        # repeated x, resampled as np.interp over np.asarray of each axis.
+        curves = [
+            LorenzCurve(x=(0.0, 0.1, 0.15, 0.7, 1.0), y=(0.0, 0.01, 0.02, 0.4, 1.0)),
+            LorenzCurve(x=(0, 1), y=(0, 1)),
+            LorenzCurve(x=(0.0, 0.3, 0.3, 1.0), y=(0.0, 0.05, 0.1, 1.0)),
+            lorenz([5.0, 0.25, 1e-9, 3.0, 3.0, 7.5, 0.5]),
+        ]
+        for grid_size in (2, 7, 100):
+            grid = np.linspace(0.0, 1.0, grid_size)
+            resampled = np.stack([np.interp(grid, np.asarray(c.x), np.asarray(c.y)) for c in curves])
+            band = average_lorenz(curves, grid_size=grid_size)
+            assert band.mean == tuple(resampled.mean(axis=0).tolist())
+            assert band.std == tuple(resampled.std(axis=0).tolist())
 
     def test_errors(self):
         with pytest.raises(DataError):

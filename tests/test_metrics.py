@@ -28,6 +28,8 @@ from feedaudit import (
     top_k,
     weighted_occurrence,
 )
+from feedaudit import metrics
+from feedaudit.metrics import _mixed_row_weights, _row_weights
 from feedaudit.simkit import SimWorld
 
 from conftest import T0, authors_session, entry, session
@@ -204,6 +206,20 @@ class TestBuildExposureTable:
                 [authors_session("s1", "m1", ["a"])], model200, attribution="weird"
             )
 
+    @pytest.mark.parametrize("other_length", [3, 5])
+    @pytest.mark.parametrize("bad", [0, -1, -10])
+    def test_rank_below_one_raises(self, model200, bad, other_length):
+        # Rank 0 would take the weight of rank L, rank -1 that of rank
+        # L - 1, and rank -10 in a 3-row session would index past the
+        # weight vector. A second session of the same length or another
+        # takes each weighing path.
+        recs = [
+            authors_session("s1", "m1", ["a"] * other_length),
+            session("s2", "m1", [entry(1, "a"), entry(2, "b"), entry(bad, "c")]),
+        ]
+        with pytest.raises(DataError, match=f"^rank {bad} is below 1"):
+            build_exposure_table(recs, model200)
+
 
 def reference_table(sessions, model, scope, attribution, include_promoted):
     """(author, exposure) pairs in order of each author's first row in
@@ -268,6 +284,55 @@ class TestEntryOrder:
                     assert [(a, float.hex(float(v))) for a, v in table.entries.items()] == [
                         (a, float.hex(float(v))) for a, v in expected
                     ]
+
+
+def reference_weights(model, ranks, lengths):
+    """Each row's weight, one row at a time."""
+    row_lengths = np.repeat(lengths, lengths).tolist()
+    return np.array([
+        model.weights(length)[rank - 1] if rank <= length else model.visibility(rank)
+        for rank, length in zip(ranks.tolist(), row_lengths)
+    ])
+
+
+class TestRowWeights:
+    @staticmethod
+    def rows(lengths, past=()):
+        """Ranks 1..L for sessions of ``lengths``; row i of ``past`` is
+        moved past its session's length."""
+        lengths = np.asarray(lengths, dtype=np.int64)
+        ranks = np.concatenate([np.arange(1, n + 1, dtype=np.intc) for n in lengths.tolist()])
+        for i in past:
+            ranks[i] += 40
+        return ranks, lengths
+
+    def test_single_length_gathers_once(self, model200, monkeypatch):
+        ranks, lengths = self.rows([13] * 7)
+        want = _mixed_row_weights(model200, ranks, lengths)
+
+        def no_mixed(*args):
+            raise AssertionError("single-length rows took the mixed path")
+
+        monkeypatch.setattr(metrics, "_mixed_row_weights", no_mixed)
+        got = _row_weights(model200, ranks, lengths)
+        assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == reference_weights(model200, ranks, lengths).tobytes()
+
+    @pytest.mark.parametrize(
+        "lengths, past",
+        [
+            ([13] * 7, [12, 50]),  # one length, two ranks past it
+            ([5, 13, 8, 13], []),
+            ([5, 13, 8, 13], [0, 4, 20]),
+            ([0, 6, 0, 6], []),  # empty sessions
+            ([6, 6, 0], [3]),
+        ],
+    )
+    def test_equals_row_reference(self, model200, lengths, past):
+        ranks, lengths = self.rows(lengths, past)
+        want = reference_weights(model200, ranks, lengths).tobytes()
+        assert _row_weights(model200, ranks, lengths).tobytes() == want
+        assert _mixed_row_weights(model200, ranks, lengths).tobytes() == want
 
 
 class TestTopK:
