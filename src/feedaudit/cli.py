@@ -637,8 +637,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         for group in (GroupLabel.LEFT, GroupLabel.RIGHT)
         if group in tables and GroupLabel.BALANCED in tables
     }
+    stats = dataset_stats(sessions)
     reports = {
-        "stats.csv": ([dataclasses.asdict(g) for g in dataset_stats(sessions).groups], _STATS_COLUMNS),
+        "stats.csv": ([dataclasses.asdict(g) for g in stats.groups], _STATS_COLUMNS),
         "gini_monitors.csv": (_gini_rows(tables, gini_report), _GINI_COLUMNS),
         "gini_pairwise.csv": (_gini_pair_rows(gini_report), _GINI_PAIR_COLUMNS),
         "lorenz.csv": (_lorenz_rows(tables, analysis["lorenz_grid"]), _LORENZ_COLUMNS),
@@ -696,8 +697,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             for group in GROUP_ORDER
             if group in models
         },
-        "sessions": len(sessions),
-        "tweets": sum(len(s) for s in sessions),
+        "sessions": stats.total_sessions,
+        "tweets": stats.total_tweets,
         "time_range": [
             min(s.captured_at for s in sessions),
             max(s.captured_at for s in sessions),

@@ -24,6 +24,9 @@ from .mwu import MODE_AUTO, mann_whitney_u
 
 # numpy renamed trapz to trapezoid in 2.0
 _trapezoid = getattr(np, "trapezoid", None) or np.trapz
+# Sums of exposures below which neither a sum nor its rounding can
+# overflow float64, so they need no check.
+_SUM_LIMIT = float(np.finfo(np.float64).max) / 4
 
 
 def _sorted_exposures(values: Iterable[float]) -> np.ndarray:
@@ -52,9 +55,20 @@ def gini(values: Iterable[float]) -> float:
     """Gini coefficient of a non-negative exposure vector, in [0, 1)."""
     x = _sorted_exposures(values)
     n = len(x)
-    total = float(x.sum())
-    weighted = float((np.arange(1, n + 1, dtype=np.float64) * x).sum())
-    g = 2.0 * weighted / (n * total) - (n + 1.0) / n
+    ranks = np.arange(1, n + 1, dtype=np.float64)
+
+    def terms(x: np.ndarray) -> tuple[float, float]:
+        """2 * sum(i * x_(i)) and n * sum(x), at most n * (n + 1) * max(x)."""
+        return 2.0 * float((ranks * x).sum()), n * float(x.sum())
+
+    if float(x[-1]) * n * (n + 1.0) > _SUM_LIMIT:
+        with np.errstate(over="ignore"):
+            numerator, denominator = terms(x)
+        if not (math.isfinite(numerator) and math.isfinite(denominator)):
+            # Past the float64 range; the ratio does not change with the scale.
+            x = x / x[-1]
+    numerator, denominator = terms(x)
+    g = numerator / denominator - (n + 1.0) / n
     return g if g > 0.0 else 0.0
 
 
@@ -79,6 +93,12 @@ def lorenz(values: Iterable[float]) -> LorenzCurve:
     """Lorenz curve of a non-negative exposure vector."""
     x = _sorted_exposures(values)
     n = len(x)
+    if float(x[-1]) * n > _SUM_LIMIT:  # the sums are at most n * max(x)
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.cumsum(x)[-1]) and np.isfinite(x.sum())
+        if not finite:
+            # Past the float64 range; the shares do not change with the scale.
+            x = x / x[-1]
     cum = np.cumsum(x) / x.sum()
     shares = np.arange(1, n + 1) / n
     return LorenzCurve(x=(0.0, *shares.tolist()), y=(0.0, *cum.tolist()))

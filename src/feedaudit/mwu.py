@@ -20,11 +20,10 @@ min(1, 2 * min(P(U_a <= u), P(U_a >= u))), which matches the usual
 convention of doubling the smaller tail.
 
 ``mann_whitney_u_many`` runs many tests of equal sample sizes at once:
-row i of a (k, n) and a (k, m) array is one test. It ranks blocks of
-rows with array operations and returns, for every row, the result
-that ``mann_whitney_u`` gives on that row, bit for bit;
-``mann_whitney_u`` is its one-row case. The normal path is vectorised
-over the block as well: U, the variance, sd and z are array
+row i of a (k, n) and a (k, m) array is one test. It returns, for
+every row, the result that ``mann_whitney_u`` gives on that row, bit
+for bit; ``mann_whitney_u`` is its one-row case. The normal path is
+vectorised over the rows: U, the variance, sd and z are array
 expressions, which round each step as Python floats do. erfc, exp and
 z**3 stay in ``math``, one value at a time, because numpy's exp and
 power differ from it in the last bit on some inputs; so the p-values
@@ -32,18 +31,17 @@ stay bit-identical to the per-row formula.
 
 The ranking is zero-aware, because those samples are mostly zeros: at
 30 monitors a group, about 91% of an amplification test's values are.
-The rank kernel takes only the non-zero entries of a block of tests,
-as (row, value, in sample A) triples, and sorts them. A row's z zeros
-are one run whose doubled midrank, 2 * (negatives in the row) + z + 1,
-and tie term z^3 - z are closed forms, and the row's positive entries
-rank z places past its negatives. Dense (k, n) and (k, m) arrays reach
-the kernel through an adapter that finds their non-zero entries; the
-amplification report passes the entries of its exposure tables
-directly, so it builds no (authors x monitors) matrix. Rank sums and
-tie terms are the same exact integers as a dense sort of every value
-gives, so every p-value is too. The normal path still returns p = 0
-for completely separated samples, below the smallest p the test can
-attain, 2 / C(n+m, n).
+Every test reaches one kernel as its non-zero entries, (row, value, in
+sample A) triples, which it sorts block by block. A row's z zeros are
+one run whose doubled midrank, 2 * (negatives in the row) + z + 1, and
+tie term z^3 - z are closed forms, and the row's positive entries rank
+z places past its negatives. ``mann_whitney_u_many`` takes the
+non-zero cells of its arrays; the amplification report passes the
+entries of its exposure tables, so it builds no (authors x monitors)
+matrix. Rank sums and tie terms are the same exact integers as a dense
+sort of every value gives, so every p-value is too. The normal path
+still returns p = 0 for completely separated samples, below the
+smallest p the test can attain, 2 / C(n+m, n).
 """
 
 from __future__ import annotations
@@ -51,7 +49,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -66,9 +64,9 @@ _MODES = (MODE_AUTO, MODE_EXACT, MODE_NORMAL)
 EXACT_LIMIT = 10_000_000
 # Auto prefers exact only when the smaller sample is at most this size.
 _AUTO_EXACT_MAX = 8
-# Rows ranked together by the batched test. Bounds its temporaries to a
-# few (block x (n + m)) arrays however many tests a call holds, and its
-# row numbers to 16 bits.
+# Rows ranked together. A block keeps its row numbers 16-bit, so that
+# the stable sort by row is a radix sort, and bounds the ranking's
+# temporaries to the block's entries however many tests a call holds.
 _BLOCK_ROWS = 1024
 
 _SQRT2 = math.sqrt(2.0)
@@ -155,22 +153,6 @@ def _rank_entries(row: np.ndarray, values: np.ndarray, in_a: np.ndarray, rows: i
     # Every member of a run of length t adds t^2 - 1, so the run adds t^3 - t.
     tie_terms = row_sums(t * t - 1) + zeros * zeros * zeros - zeros
     return _Ranks(doubled_sum_a, tie_terms, doubled, starts, negatives, zeros)
-
-
-def _rank_rows(a: np.ndarray, b: np.ndarray) -> _Ranks:
-    """Rank the pooled rows of the samples ``a`` (rows x n) and ``b``
-    (rows x m), row i of both being one test; at most 2^15 rows. The
-    dense form of ``_rank_entries``: it finds the non-zero entries.
-    """
-    rows, n = a.shape
-    m = b.shape[1]
-    # np.nonzero is several times faster on a mask than on floats.
-    flat_a = np.flatnonzero(a != 0.0)
-    flat_b = np.flatnonzero(b != 0.0)
-    row = np.concatenate(((flat_a // n).astype(np.int16), (flat_b // m).astype(np.int16)))
-    values = np.concatenate((a.ravel()[flat_a], b.ravel()[flat_b]))
-    in_a = np.arange(len(values)) < len(flat_a)
-    return _rank_entries(row, values, in_a, rows, n, m)
 
 
 @lru_cache(maxsize=256)
@@ -262,33 +244,6 @@ def _exact_feasible(n: int, m: int) -> bool:
     return True
 
 
-def _mann_whitney_arrays(
-    samples_a: np.ndarray,
-    samples_b: np.ndarray,
-    mode: str,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Row-wise tests as arrays: the statistics, the p-values and which
-    rows took the exact path. See ``mann_whitney_u_many``."""
-    _check_mode(mode)
-    a = np.asarray(samples_a, dtype=np.float64)
-    b = np.asarray(samples_b, dtype=np.float64)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ConfigError("sample arrays must be two-dimensional: tests x values")
-    if len(a) != len(b):
-        raise ConfigError(f"sample arrays hold {len(a)} and {len(b)} tests")
-    k, n = a.shape
-    m = b.shape[1]
-    if n == 0 or m == 0:
-        raise DataError("both samples must be non-empty")
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise DataError("samples must be finite")
-    blocks = (
-        _rank_rows(a[start : start + _BLOCK_ROWS], b[start : start + _BLOCK_ROWS])
-        for start in range(0, k, _BLOCK_ROWS)
-    )
-    return _ranked_tests(blocks, k, n, m, mode)
-
-
 def _mann_whitney_entries(
     row: np.ndarray,
     values: np.ndarray,
@@ -298,37 +253,16 @@ def _mann_whitney_entries(
     m: int,
     mode: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_mann_whitney_arrays`` of k tests of n >= 1 values in sample A
-    and m >= 1 in sample B, given by their non-zero entries in any
-    order: entry j is the value ``values[j]`` of test ``row[j]``, in
-    sample A where ``in_a[j]``. Each test's unlisted values are zeros.
+    """The statistics, the p-values and which tests took the exact path,
+    as arrays, for k tests of n >= 1 values in sample A and m >= 1 in
+    sample B, given by their non-zero entries in any order: entry j is
+    the value ``values[j]`` of test ``row[j]``, in sample A where
+    ``in_a[j]``. Each test's unlisted values are zeros. The tests are
+    ranked in blocks of ``_BLOCK_ROWS`` consecutive rows.
     """
     _check_mode(mode)
     if not np.isfinite(values).all():
         raise DataError("samples must be finite")
-    starts = range(0, k, _BLOCK_ROWS)
-    # Block numbers in the smallest unsigned type that holds them, so
-    # that the stable sort grouping the entries by block is a radix sort.
-    block = (row // _BLOCK_ROWS).astype(np.min_scalar_type(len(starts)))
-    order = np.argsort(block, kind="stable")
-    ends = np.cumsum(np.bincount(block, minlength=len(starts))).tolist()
-
-    def blocks() -> Iterator[_Ranks]:
-        for start, low, high in zip(starts, [0, *ends], ends):
-            take = order[low:high]
-            row_in_block = (row[take] - start).astype(np.int16)
-            yield _rank_entries(row_in_block, values[take], in_a[take], min(_BLOCK_ROWS, k - start), n, m)
-
-    return _ranked_tests(blocks(), k, n, m, mode)
-
-
-def _ranked_tests(
-    blocks: Iterable[_Ranks], k: int, n: int, m: int, mode: str
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The statistics, p-values and exact-path flags of k tests of n
-    values against m, from the ranks of their consecutive blocks of
-    ``_BLOCK_ROWS`` rows, which are ranked one at a time as they are
-    drawn."""
     feasible = _exact_feasible(n, m)
     if mode == MODE_EXACT and k and not feasible:
         raise AnalysisError(
@@ -337,12 +271,22 @@ def _ranked_tests(
     exact_if_untied = mode == MODE_AUTO and min(n, m) <= _AUTO_EXACT_MAX and feasible
     doubled_total = (n + m) * (n + m + 1)
 
+    starts = range(0, k, _BLOCK_ROWS)
+    # Block numbers in the smallest unsigned type that holds them, so
+    # that the stable sort grouping the entries by block is a radix sort.
+    block = (row // _BLOCK_ROWS).astype(np.min_scalar_type(len(starts)))
+    order = np.argsort(block, kind="stable")
+    ends = np.cumsum(np.bincount(block, minlength=len(starts))).tolist()
+
     u_a = np.empty(k)
     tie_terms = np.empty(k, dtype=np.int64)
     pvalues = np.empty(k)
     exact = np.full(k, mode == MODE_EXACT)
-    for start, ranks in zip(range(0, k, _BLOCK_ROWS), blocks):
+    for start, low, high in zip(starts, [0, *ends], ends):
         stop = min(start + _BLOCK_ROWS, k)
+        take = order[low:high]
+        row_in_block = (row[take] - start).astype(np.int16)
+        ranks = _rank_entries(row_in_block, values[take], in_a[take], stop - start, n, m)
         u_a[start:stop] = 0.5 * ranks.doubled_sum_a - 0.5 * n * (n + 1)
         tie_terms[start:stop] = ranks.tie_terms
         if exact_if_untied:
@@ -371,7 +315,25 @@ def mann_whitney_u_many(
     ``mann_whitney_u(samples_a[i], samples_b[i], mode)``. Exact mode
     raises AnalysisError when C(n+m, n) exceeds 10^7 and k > 0.
     """
-    statistics, pvalues, exact = _mann_whitney_arrays(samples_a, samples_b, mode)
+    _check_mode(mode)
+    a = np.asarray(samples_a, dtype=np.float64)
+    b = np.asarray(samples_b, dtype=np.float64)
+    if a.ndim != 2 or b.ndim != 2:
+        raise ConfigError("sample arrays must be two-dimensional: tests x values")
+    if len(a) != len(b):
+        raise ConfigError(f"sample arrays hold {len(a)} and {len(b)} tests")
+    k, n = a.shape
+    m = b.shape[1]
+    if n == 0 or m == 0:
+        raise DataError("both samples must be non-empty")
+    # A NaN or an infinity is non-zero, so the kernel's check sees it.
+    # np.flatnonzero is several times faster on a mask than on floats.
+    flat_a = np.flatnonzero(a != 0.0)
+    flat_b = np.flatnonzero(b != 0.0)
+    row = np.concatenate((flat_a // n, flat_b // m))
+    values = np.concatenate((a.ravel()[flat_a], b.ravel()[flat_b]))
+    in_a = np.arange(len(values)) < len(flat_a)
+    statistics, pvalues, exact = _mann_whitney_entries(row, values, in_a, k, n, m, mode)
     methods = np.where(exact, MODE_EXACT, MODE_NORMAL).tolist()
     return tuple(map(MannWhitneyResult, statistics.tolist(), pvalues.tolist(), methods))
 

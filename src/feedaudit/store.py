@@ -18,8 +18,8 @@ per session, ``"r,"`` by rank, ``"id,"`` by author code, the flag text
 by mask) and from the session's joined tweet ids, and dropping the NULs
 leaves the text of the block. A session is formatted this way only when
 checks on its ids, ranks and masks prove that ``csv.writer`` would write
-the same bytes; any other session, and a record built from entries whose
-fields are not plain ``str``/``int`` values, is written row by row by
+the same bytes; any other session, and every record built from its
+entries rather than viewed in a batch, is written row by row by
 ``csv.writer``. Every CSV writer here, for logs, rosters and reports,
 also quotes a field holding a carriage return, since a reader would
 otherwise take it for a line break.
@@ -90,7 +90,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
 from itertools import chain, groupby
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
 
@@ -232,19 +232,6 @@ def _plain_id(value: object) -> bool:
     matrix of :class:`_LogWriter` can take it: an exact ``str`` of at most
     ``_FIELD_BYTES`` ASCII characters, none of them in ``_SPECIAL``."""
     return type(value) is str and len(value) <= _FIELD_BYTES and _quotes_nothing(value)
-
-
-def _typed(record: SessionRecord) -> bool:
-    """Whether a record built from its entries goes into a batch with its
-    values unchanged: ids exactly ``str`` and ranks exactly ``int`` in the
-    ``int32`` range."""
-    ranks, tweet_ids, authors, shown, _ = record.columns()
-    return (
-        type(record.session_id) is str
-        and type(record.monitor_id) is str
-        and all(type(r) is int and -(1 << 31) <= r < 1 << 31 for r in ranks)
-        and all(type(v) is str for column in (tweet_ids, authors, shown) for v in column)
-    )
 
 
 def _csv_text(record: SessionRecord) -> bytes:
@@ -397,12 +384,6 @@ class _LogWriter:
         return text
 
 
-def _run_key(record: SessionRecord) -> object:
-    """Views of one batch share the batch as key; a record built from its
-    entries has key :func:`_typed`."""
-    return record._batch if record._batch is not None else _typed(record)
-
-
 def write_sessions(
     sessions: Iterable[SessionRecord], path: str | Path, *, append: bool = False
 ) -> int:
@@ -410,14 +391,12 @@ def write_sessions(
 
     With ``append`` the header is only written when the file is new or
     empty. Views of one batch are formatted from its columns by
-    :class:`_LogWriter`, block by block with numpy, and a run of records
-    built from their entries is copied into one batch first, through
-    :func:`~feedaudit.model.batch_of`. A session whose fields need
-    quoting, or do not fit the writer's byte matrix, and a record whose
-    fields are not plain ``str``/``int`` values, are written row by row by
-    ``csv.writer`` instead. The bytes are those of ``csv.writer`` either
-    way, except that a field holding a carriage return is quoted too, so
-    that the log reads back.
+    :class:`_LogWriter`, block by block with numpy; a session whose fields
+    need quoting, or do not fit the writer's byte matrix, is written row
+    by row by ``csv.writer`` instead, as is every record built from its
+    entries. The bytes are those of ``csv.writer`` either way, except
+    that a field holding a carriage return is quoted too, so that the log
+    reads back.
     """
     path = Path(path)
     need_header = not (append and path.exists() and path.stat().st_size > 0)
@@ -425,14 +404,14 @@ def write_sessions(
     with path.open("ab" if append else "wb") as fh:
         if need_header:
             fh.write(_HEADER_LINE)
-        for key, run in groupby(sessions, _run_key):
+        for batch, run in groupby(sessions, attrgetter("_batch")):
             run = list(run)
             count += len(run)
-            if key is False:
+            if batch is None:
                 for record in run:
                     fh.write(_csv_text(record))
             else:
-                batch, index = batch_of(run)
+                _, index = batch_of(run)
                 _LogWriter(fh, batch).write(index, run)
     return count
 

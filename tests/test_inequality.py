@@ -96,6 +96,34 @@ class TestGini:
             return
         assert gini(list(values) * reps) == pytest.approx(gini(values), abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "values, small",
+        [
+            ([0.0, 1e308, 1e308], [0.0, 1.0, 1.0]),  # the sums overflow
+            ([0.0, 0.0, 5e307], [0.0, 0.0, 1.0]),  # twice the weighted sum overflows
+            ([1e300] * 999 + [1e306], [1e-6] * 999 + [1.0]),
+        ],
+    )
+    def test_sums_past_float64_range(self, values, small):
+        # Finite exposures whose sums overflow give the Gini and Lorenz
+        # curve of the same vector scaled down.
+        assert gini(values) == pytest.approx(gini(small), abs=1e-12)
+        curve = lorenz(values)
+        assert curve.y[-1] == pytest.approx(1.0, abs=1e-12)
+        assert curve.y == pytest.approx(lorenz(small).y, abs=1e-12)
+
+    def test_large_finite_sums_keep_their_bits(self):
+        # Sums near the top of the float64 range that stay finite are
+        # taken as they are, unscaled.
+        x = np.sort(np.random.default_rng(3).uniform(0.5, 1.0, size=12) * 1e306)
+        n = len(x)
+        weighted = float((np.arange(1, n + 1, dtype=np.float64) * x).sum())
+        total = float(x.sum())
+        assert 2.0 * weighted < float("inf")
+        assert float.hex(gini(x)) == float.hex(2.0 * weighted / (n * total) - (n + 1.0) / n)
+        x *= 10.0  # the sum stays finite; twice the weighted sum would not
+        assert lorenz(x).y[1:] == tuple((np.cumsum(x) / x.sum()).tolist())
+
     def test_errors(self):
         with pytest.raises(AnalysisError):
             gini([])
@@ -285,7 +313,7 @@ def reference_error(values):
         return FINITE
     if (x < 0).any():
         return NEGATIVE
-    if x.sum() <= 0.0:
+    if not (x > 0).any():  # a sum could overflow
         return ALL_ZERO
     return None
 

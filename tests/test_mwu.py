@@ -393,6 +393,18 @@ class TestBatched:
         with pytest.raises(AnalysisError):
             mann_whitney_u_many(a, b, mode=MODE_EXACT)
 
+    def test_errors_in_order(self):
+        # mode, then shape, then empty sample, then non-finite value, then
+        # the exact gate
+        with pytest.raises(ConfigError, match="unknown mode 'bootstrap'"):
+            mann_whitney_u_many(np.zeros(4), np.zeros((2, 3, 4)), mode="bootstrap")
+        with pytest.raises(DataError, match="both samples must be non-empty"):
+            mann_whitney_u_many(np.zeros((2, 0)), np.full((2, 3), np.nan))
+        a, b = mixed_rows(12, 2, 15, 15)  # C(30, 15) ~ 1.55e8 > 1e7
+        b[1, 4] = np.nan
+        with pytest.raises(DataError, match="samples must be finite"):
+            mann_whitney_u_many(a, b, mode=MODE_EXACT)
+
 
 def assert_results_bitwise(results, expected):
     assert len(results) == len(expected)
@@ -400,6 +412,35 @@ def assert_results_bitwise(results, expected):
         assert res.method == ref.method, i
         assert float.hex(res.statistic) == float.hex(ref.statistic), i
         assert float.hex(res.pvalue) == float.hex(ref.pvalue), i
+
+
+def as_results(arrays):
+    """The statistics, p-values and exact flags of the entry kernel as
+    ``MannWhitneyResult`` tuples."""
+    statistics, pvalues, exact = arrays
+    methods = [MODE_EXACT if e else MODE_NORMAL for e in exact.tolist()]
+    return tuple(map(MannWhitneyResult, statistics.tolist(), pvalues.tolist(), methods))
+
+
+def as_entries(a, b, seed):
+    """The non-zero entries of ``a`` and ``b`` as (row, value, in_a)
+    arrays, in a shuffled order."""
+    row_a, col_a = np.nonzero(a)
+    row_b, col_b = np.nonzero(b)
+    row = np.concatenate([row_a, row_b])
+    values = np.concatenate([a[row_a, col_a], b[row_b, col_b]])
+    in_a = np.arange(len(row)) < len(row_a)
+    shuffle = np.random.default_rng(seed).permutation(len(row))
+    return row[shuffle], values[shuffle], in_a[shuffle]
+
+
+def assert_ranks_equal_reference(ranks, pooled, n):
+    """``ranks`` hold the rank sums, tie terms and midranks that
+    ``reference_rank`` gives for ``pooled``."""
+    doubled, sums, ties = reference_rank(pooled, n)
+    assert ranks.doubled_sum_a.tolist() == sums.tolist()
+    assert ranks.tie_terms.tolist() == ties.tolist()
+    assert [ranks.sorted_doubled(i) for i in range(len(pooled))] == [tuple(row) for row in doubled.tolist()]
 
 
 class TestZeroAwareRanking:
@@ -412,11 +453,9 @@ class TestZeroAwareRanking:
     )
     def test_ranks_equal_reference(self, n, m, k):
         a, b = zero_heavy_rows(10 * n + m, k, n, m)
-        ranks = mwu._rank_rows(a, b)
-        doubled, sums, ties = reference_rank(np.concatenate([a, b], axis=1), n)
-        assert ranks.doubled_sum_a.tolist() == sums.tolist()
-        assert ranks.tie_terms.tolist() == ties.tolist()
-        assert [ranks.sorted_doubled(i) for i in range(k)] == [tuple(row) for row in doubled.tolist()]
+        row, values, in_a = as_entries(a, b, seed=k)
+        ranks = mwu._rank_entries(row.astype(np.int16), values, in_a, k, n, m)
+        assert_ranks_equal_reference(ranks, np.concatenate([a, b], axis=1), n)
         if k >= 8:
             # The all-zero rows: one run of n + m at the middle rank.
             assert ranks.tie_terms[0] == ranks.tie_terms[1] == (n + m) ** 3 - (n + m)
@@ -453,11 +492,8 @@ class TestZeroAwareRanking:
         rows = data.draw(st.lists(st.lists(value, min_size=n + m, max_size=n + m), min_size=k, max_size=k))
         pooled = np.array(rows, dtype=np.float64).reshape(k, n + m)
         a, b = pooled[:, :n], pooled[:, n:]
-        ranks = mwu._rank_rows(a, b)
-        doubled, sums, ties = reference_rank(pooled, n)
-        assert ranks.doubled_sum_a.tolist() == sums.tolist()
-        assert ranks.tie_terms.tolist() == ties.tolist()
-        assert [ranks.sorted_doubled(i) for i in range(k)] == [tuple(row) for row in doubled.tolist()]
+        row, values, in_a = as_entries(a, b, seed=k)
+        assert_ranks_equal_reference(mwu._rank_entries(row.astype(np.int16), values, in_a, k, n, m), pooled, n)
         for mode in (MODE_AUTO, MODE_EXACT, MODE_NORMAL):
             assert_results_bitwise(mann_whitney_u_many(a, b, mode), reference_many(a, b, mode))
 
@@ -516,27 +552,9 @@ class TestErrors:
             mann_whitney_u(a, b, mode=MODE_EXACT)
 
 
-def as_entries(a, b, seed):
-    """The non-zero entries of ``a`` and ``b`` as (row, value, in_a)
-    arrays, in a shuffled order."""
-    row_a, col_a = np.nonzero(a)
-    row_b, col_b = np.nonzero(b)
-    row = np.concatenate([row_a, row_b])
-    values = np.concatenate([a[row_a, col_a], b[row_b, col_b]])
-    in_a = np.arange(len(row)) < len(row_a)
-    shuffle = np.random.default_rng(seed).permutation(len(row))
-    return row[shuffle], values[shuffle], in_a[shuffle]
-
-
-def assert_ranks_equal(ranks, expected, k):
-    assert ranks.doubled_sum_a.tolist() == expected.doubled_sum_a.tolist()
-    assert ranks.tie_terms.tolist() == expected.tie_terms.tolist()
-    assert [ranks.sorted_doubled(i) for i in range(k)] == [expected.sorted_doubled(i) for i in range(k)]
-
-
 class TestEntryKernel:
     """Tests given by their non-zero entries, in any order, against the
-    dense adapter, the dense reference ranking and the oracle."""
+    dense reference ranking, the reference results and the oracle."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -563,17 +581,11 @@ class TestEntryKernel:
                 pooled[i, :n] = 0.0
         a, b = pooled[:, :n], pooled[:, n:]
         row, values, in_a = as_entries(a, b, seed=k)
-        ranks = mwu._rank_entries(row.astype(np.int16), values, in_a, k, n, m)
-        assert_ranks_equal(ranks, mwu._rank_rows(a, b), k)
-        doubled, sums, ties = reference_rank(pooled, n)
-        assert ranks.doubled_sum_a.tolist() == sums.tolist()
-        assert ranks.tie_terms.tolist() == ties.tolist()
+        assert_ranks_equal_reference(mwu._rank_entries(row.astype(np.int16), values, in_a, k, n, m), pooled, n)
         for mode in (MODE_AUTO, MODE_EXACT, MODE_NORMAL):
-            statistics, pvalues, exact = mwu._mann_whitney_entries(row, values, in_a, k, n, m, mode)
-            results = mann_whitney_u_many(a, b, mode)
-            assert [float.hex(x) for x in statistics.tolist()] == [float.hex(r.statistic) for r in results]
-            assert [float.hex(x) for x in pvalues.tolist()] == [float.hex(r.pvalue) for r in results]
-            assert [MODE_EXACT if e else MODE_NORMAL for e in exact.tolist()] == [r.method for r in results]
+            expected = reference_many(a, b, mode)
+            assert_results_bitwise(as_results(mwu._mann_whitney_entries(row, values, in_a, k, n, m, mode)), expected)
+            assert_results_bitwise(mann_whitney_u_many(a, b, mode), expected)
         statistics, pvalues, _ = mwu._mann_whitney_entries(row, values, in_a, k, n, m, MODE_EXACT)
         for i in range(k):
             statistic, p = oracle_exact(a[i].tolist(), b[i].tolist())
@@ -586,12 +598,10 @@ class TestEntryKernel:
         k = 2 * mwu._BLOCK_ROWS + 37
         a, b = zero_heavy_rows(n * m, k, n, m)
         row, values, in_a = as_entries(a, b, seed=n)
-        results = mwu._mann_whitney_entries(row, values, in_a, k, n, m, mode)
-        expected = mwu._mann_whitney_arrays(a, b, mode)
-        for got, want in zip(results, expected):
-            assert got.tolist() == want.tolist()
+        results = as_results(mwu._mann_whitney_entries(row, values, in_a, k, n, m, mode))
+        assert_results_bitwise(results, reference_many(a, b, mode))
         if (n, m) == (5, 7) and mode == MODE_AUTO:
-            assert 0 < results[2].sum() < k  # exact and normal rows both
+            assert {r.method for r in results} == {MODE_EXACT, MODE_NORMAL}
 
     def test_more_candidate_rows_than_16_bits(self):
         # Row numbers past 2^15 are ranked within their blocks of

@@ -30,6 +30,7 @@ from feedaudit import (
     GroupLabel,
     ParseError,
     RankerParams,
+    SessionBatch,
     SessionRecord,
     TimelineEntry,
     build_world,
@@ -586,10 +587,10 @@ class TestWriterRandom:
 
     def test_long_session_ranks(self, tmp_path, monkeypatch):
         # ranks of 1 to 5 digits through the byte matrix, across blocks
-        records = [
+        records = SessionBatch.from_records([
             authors_session("long", "m1", [f"a{r % 7}" for r in range(10_001)], group="left"),
             authors_session("short", "m1", ["a1"], group="right"),
-        ]
+        ]).records()
         monkeypatch.setattr(store, "_csv_text", None)  # no session needs csv.writer
         monkeypatch.setattr(store, "_WRITE_ROWS", 3)
         got, want = tmp_path / "got.csv", tmp_path / "want.csv"
