@@ -21,9 +21,18 @@ which pins the null hypothesis for all downstream metrics. Posting
 rate only weights in-network sampling, so the null also holds for
 monitors that follow accounts.
 
-Randomness is hierarchical: every session gets its own generator seeded
-by (seed, group index, monitor index, day, slot), so any session can be
-reproduced in isolation and fleet output is byte-identical across runs.
+Randomness is hierarchical: every session draws from its own stream,
+that of ``default_rng(SeedSequence(seed, spawn_key=(group index, monitor
+index, day, slot)))``, and each monitor's follows from that of spawn key
+(101, group index, monitor index), so any session can be reproduced in
+isolation and fleet output is byte-identical across runs. The streams
+are not built one ``SeedSequence`` and generator at a time: the hashes
+of SeedSequence and the seeding of PCG64 (O'Neill 2014) are fixed
+integer arithmetic on a few words, so the PCG64 states of every stream a
+process samples are derived in one numpy pass, and one generator is
+re-seated from them before each session. numpy is not pinned, so
+``TestSamplerDifferential`` checks the streams, and everything drawn
+from them, against numpy's own construction of each generator.
 
 The fleet's sessions are written straight into the columns of one
 :class:`~feedaudit.model.SessionBatch`, each allocated once from the
@@ -67,9 +76,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 from functools import cached_property, lru_cache
-from operator import itemgetter
+from itertools import islice
+from operator import index, itemgetter
 from types import MappingProxyType
-from typing import BinaryIO, Iterable, Mapping, Sequence
+from typing import BinaryIO, Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -99,6 +109,13 @@ _P_ATOL = float(np.sqrt(np.finfo(np.float64).eps))
 #: in two processes than in one, 128 of them 11% faster, 256 22% faster
 #: and 1,920 33% faster; 128 sessions of 500 to 700 rows 25% faster.
 _SPLIT_CAPTURES = 128
+
+# SeedSequence's hash constants (numpy's bit_generator.pyx, after
+# O'Neill's seed_seq_fe) and the 128-bit multiplier of PCG64.
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32, _MASK64, _MASK128 = (1 << 32) - 1, (1 << 64) - 1, (1 << 128) - 1
 
 
 @dataclass(frozen=True)
@@ -385,6 +402,95 @@ class FleetConfig:
         return self.session_length[group.value]  # type: ignore[index]
 
 
+def _pcg64_states(seed: int, keys: np.ndarray) -> np.ndarray:
+    """The state and increment of ``PCG64(SeedSequence(seed,
+    spawn_key=key))`` for each row ``key`` of ``keys``, a (streams,
+    words) array of values below 2**32, as a (streams, 4) uint64 array:
+    state high and low, increment high and low.
+
+    SeedSequence's hashes are fixed 32-bit arithmetic on a few words, so
+    they run once over a column of every stream: the entropy (the seed's
+    32-bit words from the lowest, padded with zeros to the pool's four,
+    then the key) is hashed into a pool of four words, and
+    ``generate_state(4, np.uint64)`` hashes the pool out into the 128-bit
+    seed and sequence that PCG64 steps its state from.
+    """
+    n = len(keys)
+    seed = index(seed)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer seed, got {seed}")
+    seed_words = []
+    while seed:
+        seed_words.append(seed & _MASK32)
+        seed >>= 32
+    seed_words = seed_words or [0]
+    if keys.shape[1]:
+        seed_words += [0] * (4 - len(seed_words))
+    entropy = [np.full(n, word, np.uint32) for word in seed_words] + list(keys.T)
+    hash_const = _INIT_A
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(16)
+        return value
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        out = x * np.uint32(_MIX_L) - y * np.uint32(_MIX_R)
+        out ^= out >> np.uint32(16)
+        return out
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else np.zeros(n, np.uint32)) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    words = np.empty((n, 8), np.uint32)
+    hash_const = _INIT_B
+    for i in range(8):
+        value = pool[i % 4] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> np.uint32(16)
+        words[:, i] = value
+    seeds = words.astype("<u4").view("<u8").astype(np.uint64)
+
+    def seeded() -> Iterator[int]:
+        # PCG64's two seeding steps from state 0: inc = seq * 2 + 1, then
+        # state = (inc + seed) * MULT + inc.
+        for seed_hi, seed_lo, seq_hi, seq_lo in map(np.ndarray.tolist, seeds):
+            inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _MASK128
+            state = ((inc + (seed_hi << 64 | seed_lo)) * _PCG64_MULT + inc) & _MASK128
+            yield from (state >> 64, state & _MASK64, inc >> 64, inc & _MASK64)
+
+    return np.fromiter(seeded(), np.uint64, 4 * n).reshape(n, 4)
+
+
+def _streams(seed: int, keys: Sequence[tuple[int, ...]]) -> Iterator[np.random.Generator]:
+    """The generator of ``default_rng(SeedSequence(seed, spawn_key=key))``
+    for each of ``keys`` in turn: one generator, its PCG64 re-seated
+    from :func:`_pcg64_states` as each is taken, so a generator must be
+    done with before the next is taken."""
+    if not keys:
+        return
+    bits = np.random.PCG64(0)
+    rng = np.random.Generator(bits)
+    for state_hi, state_lo, inc_hi, inc_lo in map(np.ndarray.tolist, _pcg64_states(seed, np.array(keys, np.uint32))):
+        bits.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": state_hi << 64 | state_lo, "inc": inc_hi << 64 | inc_lo},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
 def _sample_pool(
     rng: np.random.Generator, pool: Sequence[AuthorId], count: int, pool_name: str
 ) -> list[AuthorId]:
@@ -414,10 +520,12 @@ def make_monitors(
     if needs_pools and not world.pools:
         raise ConfigError("world has no follow pools; build it with preset_pools=True")
 
+    streams = [(101, gi, i) for gi, group in enumerate(GROUP_ORDER) for i in range(fleet.monitors_for(group))]
+    rngs = _streams(seed, streams)
     monitors: list[MonitorAccount] = []
     for gi, group in enumerate(GROUP_ORDER):
         for i in range(fleet.monitors_for(group)):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101, gi, i)))
+            rng = next(rngs)
             if group is GroupLabel.NEUTRAL:
                 follows: frozenset[AuthorId] = frozenset()
             elif group is GroupLabel.BALANCED:
@@ -582,7 +690,8 @@ class _MonitorSampler:
         generator that it takes sampled on its own: the binomial count
         of out-of-network rows, one uniform per row for the table draws,
         the rank jitter, two uniforms per row for the flags and one per
-        retweet for its original."""
+        retweet for its original. Each generator is done with before the
+        next is taken, so ``rngs`` may re-seat one generator."""
         params = self.params
         n, length = flags.shape
         rt_rate = params.retweet_rate
@@ -743,16 +852,15 @@ def _sample(
 ) -> None:
     """Sample the sessions of ``captures[start:stop]`` into their rows of
     ``columns``, each monitor's run of consecutive captures as one batch."""
-    seed = ranker.params.seed
+    rngs = _streams(ranker.params.seed, [stream for _, _, stream, _ in captures[start:stop]])
     while start < stop:
         _, monitor, _, length = captures[start]
         end = start + 1
         while end < stop and captures[end][1] is monitor:
             end += 1
         sampler = ranker.sampler(monitor)
-        rngs = (np.random.default_rng(np.random.SeedSequence(seed, spawn_key=c[2])) for c in captures[start:end])
         rows = slice(offsets[start], offsets[end])
-        sampler.sample(rngs, *(c[rows].reshape(end - start, length) for c in columns))
+        sampler.sample(islice(rngs, end - start), *(c[rows].reshape(end - start, length) for c in columns))
         start = end
 
 

@@ -1141,41 +1141,38 @@ def dataset_stats(sessions: Iterable[SessionRecord]) -> DatasetStats:
         per_session(FLAG_RETWEET),
         per_session(FLAG_QUOTE),
         per_session(FLAG_PROMOTED),
-    ]).tolist()
-    # (group, monitor) -> the sums of those counts
-    counts: dict[tuple[GroupLabel, str], list[int]] = {}
-    ungrouped = 0
-    for i, c in zip(index.tolist(), per):
-        group = batch.group[i]
-        if group is None:
-            ungrouped += 1
-            continue
-        total = counts.setdefault((group, batch.monitor_id[i]), [0] * 6)
-        for k, value in enumerate(c):
-            total[k] += value
+    ])
+    # Each session's (group, monitor), coded in order of first appearance;
+    # the counts of each are summed in one pass.
+    positions = index.tolist()
+    code: dict[tuple[GroupLabel | None, str], int] = {}
+    keys = zip(map(batch.group.__getitem__, positions), map(batch.monitor_id.__getitem__, positions))
+    codes = np.fromiter((code.setdefault(k, len(code)) for k in keys), np.intp, len(positions))
+    sums = np.zeros((len(code), 6), per.dtype)
+    np.add.at(sums, codes, per)
+    ungrouped = sum(int(sums[c, 0]) for (group, _), c in code.items() if group is None)
+    monitors = sorted((k for k in code if k[0] is not None), key=lambda k: (GROUP_ORDER.index(k[0]), k[1]))
+    counts = sums[[code[k] for k in monitors]]
+    for (group, monitor), tweets in zip(monitors, counts[:, 1].tolist()):
+        if not tweets:
+            raise DataError(f"group {group.value} monitor {monitor!r} has no tweets; its shares are undefined")
 
     groups = []
     for group in GROUP_ORDER:
-        keys = sorted(k for k in counts if k[0] is group)
-        if not keys:
+        c = counts[[i for i, (g, _) in enumerate(monitors) if g is group]]
+        if not len(c):
             continue
-        monitors = [counts[k] for k in keys]
-        for (_, monitor), c in zip(keys, monitors):
-            if not c[1]:
-                raise DataError(
-                    f"group {group.value} monitor {monitor!r} has no tweets; its shares are undefined"
-                )
         stat = {}
         for k, name in enumerate(("oon", "retweet", "quote", "promoted"), start=2):
-            shares = np.asarray([c[k] / c[1] for c in monitors])
+            shares = c[:, k] / c[:, 1]
             stat[f"{name}_mean"] = float(shares.mean())
             stat[f"{name}_std"] = float(shares.std())
         groups.append(
             GroupStats(
                 group=group.value,
-                monitors=len(keys),
-                sessions=sum(c[0] for c in monitors),
-                tweets=sum(c[1] for c in monitors),
+                monitors=len(c),
+                sessions=int(c[:, 0].sum()),
+                tweets=int(c[:, 1].sum()),
                 **stat,
             )
         )

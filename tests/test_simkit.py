@@ -516,6 +516,15 @@ class TestSamplerDifferential:
         assert len(got) > 0
         _assert_same_batch(got, reference_fleet(world, fleet, params, fleet_monitors))
 
+    def test_seed_above_2_64(self):
+        # a seed of three 32-bit words, for the world, the monitors' follows and every session
+        seed = 2**64 + 5
+        world = build_world(seed=seed)
+        fleet = small_fleet(duration_days=2)
+        params = RankerParams(seed=seed)
+        got, _ = batch_of(run_fleet(world, fleet, params))
+        _assert_same_batch(got, reference_fleet(world, fleet, params))
+
     @pytest.mark.parametrize("group", [GroupLabel.NEUTRAL, GroupLabel.RIGHT])
     def test_rank_timeline_explicit_rng(self, group):
         world = build_world(seed=11)
@@ -525,6 +534,68 @@ class TestSamplerDifferential:
         builder = BatchBuilder()
         ReferenceSampler(world, monitor, params).session(builder, np.random.default_rng(5), 137, "s", monitor.id, group, T0)
         _assert_same_batch(batch_of([got])[0], builder.build(world.ids))
+
+
+def reference_streams(seed, keys):
+    """A generator of its own for each stream key, as numpy builds it."""
+    for key in keys:
+        yield np.random.default_rng(np.random.SeedSequence(seed, spawn_key=key))
+
+
+_SEEDS = [0, 1, 7, 2**32 - 1, 2**32, 2**64 + 1, 2**128 + 3]
+_KEYS = {
+    "zeros-4": [(0, 0, 0, 0)],
+    "zeros-3": [(0, 0, 0)],
+    "captures": [(3, 1, 0, 2), (0, 29, 3, 3), (1, 0, 13, 1), (2, 7, 0, 0)],
+    "monitors": [(101, 2, 7), (101, 0, 0), (101, 3, 29)],
+    "one-word": [(7,), (9,)],
+    "top-words": [(2**32 - 1, 0, 2**31, 5, 1)],
+}
+
+
+class TestStreams:
+    """The PCG64 states :func:`simkit._pcg64_states` derives for many
+    stream keys in one pass, against numpy's own construction of one
+    ``PCG64(SeedSequence(seed, spawn_key=key))`` at a time."""
+
+    @pytest.mark.parametrize("keys", list(_KEYS.values()), ids=list(_KEYS))
+    @pytest.mark.parametrize("seed", _SEEDS)
+    def test_states_match_seed_sequence(self, seed, keys):
+        got = simkit._pcg64_states(seed, np.array(keys, np.uint32))
+        assert got.dtype == np.uint64 and got.shape == (len(keys), 4)
+        for key, (state_hi, state_lo, inc_hi, inc_lo) in zip(keys, got.tolist()):
+            want = np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)).state["state"]
+            assert (state_hi << 64 | state_lo, inc_hi << 64 | inc_lo) == (want["state"], want["inc"]), key
+
+    @pytest.mark.parametrize("seed", [7, 2**64 + 1])
+    def test_reseated_generator_draws_each_stream(self, seed):
+        # each stream taken after the last left a 32-bit half buffered
+        # and a binomial's constants cached: a re-seated generator must
+        # draw what a new one does
+        keys = _KEYS["captures"]
+        for rng, want in zip(simkit._streams(seed, keys), reference_streams(seed, keys)):
+            assert rng.binomial(100, 0.6) == want.binomial(100, 0.6)
+            assert np.array_equal(rng.integers(0, 9, size=3, dtype=np.uint32), want.integers(0, 9, size=3, dtype=np.uint32))
+            assert np.array_equal(rng.random(5), want.random(5))
+            assert rng.bit_generator.state["has_uint32"] == 1
+
+    def test_no_keys(self):
+        assert list(simkit._streams(7, [])) == []
+
+    @pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+    def test_bad_seed(self, seed, error):
+        # as SeedSequence rejects it
+        with pytest.raises(error):
+            make_monitors(build_world(seed=11), small_fleet(), seed)
+
+    @pytest.mark.parametrize("seed", [11, 2**64 + 5])
+    def test_make_monitors_follows(self, monkeypatch, seed):
+        world = build_world(seed=11)
+        fleet = small_fleet(monitors_per_group={"left": 5, "right": 3, "balanced": 4, "neutral": 2})
+        got = make_monitors(world, fleet, seed)
+        monkeypatch.setattr(simkit, "_streams", reference_streams)
+        assert got == make_monitors(world, fleet, seed)
+        assert len({m.follows for m in got if m.group is GroupLabel.LEFT}) > 1
 
 
 @pytest.fixture
@@ -656,6 +727,34 @@ class TestSplitFleet:
         world = build_world(seed=11)
         assert len(run_fleet(world, small_fleet(), RankerParams(seed=11))) == 48
         assert not split
+
+
+class TestStreamConstruction:
+    """``run_fleet`` re-seats one generator per process rather than
+    building a ``SeedSequence`` for every capture."""
+
+    @pytest.mark.parametrize("mode", ["serial", "split"])
+    def test_no_seed_sequence_per_capture(self, monkeypatch, request, tmp_path, mode):
+        if mode == "split":
+            forks = request.getfixturevalue("split")
+        else:
+            monkeypatch.setattr(simkit, "_workers", lambda: 1)
+        world = build_world(seed=11)
+        built = tmp_path / "built"
+        real = np.random.SeedSequence
+
+        def counted(*args, **kwargs):
+            # one byte a construction, appended by the worker too
+            with built.open("ab") as fh:
+                fh.write(b".")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counted)
+        sessions = run_fleet(world, small_fleet(monitors_per_group=4, sessions_per_day=4, duration_days=2), RankerParams(seed=11))
+        assert len(sessions) == 128
+        assert not built.exists()
+        if mode == "split":
+            assert len(forks) == 1
 
 
 class TestRealizedComposition:

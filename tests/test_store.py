@@ -45,8 +45,18 @@ from feedaudit import (
     write_sessions,
 )
 from feedaudit import store
-from feedaudit.model import BatchBuilder, ensure_utc, validate_session
-from feedaudit.store import SESSION_FIELDS, IngestResult, format_float
+from feedaudit.model import (
+    FLAG_IN_NETWORK,
+    FLAG_PROMOTED,
+    FLAG_QUOTE,
+    FLAG_RETWEET,
+    GROUP_ORDER,
+    BatchBuilder,
+    batch_of,
+    ensure_utc,
+    validate_session,
+)
+from feedaudit.store import SESSION_FIELDS, DatasetStats, GroupStats, IngestResult, format_float
 
 from conftest import T0, authors_session, entry, session
 
@@ -1477,6 +1487,138 @@ class TestSplitRead:
             store._BLOCK_BYTES, store._SPLIT_BYTES, store._workers = saved
         assert got == _outcome(reference_read, path, **kw)
         _no_child_left()
+
+
+def loop_dataset_stats(sessions):
+    """``dataset_stats`` as it was written before its per-monitor sums
+    became one grouped reduction: each session's six counts added into
+    its monitor's list in a Python loop."""
+    batch, index = batch_of(sessions)
+    flags = batch.flags[batch.rows(index)]
+    lengths = batch.offsets[index + 1] - batch.offsets[index]
+    full = lengths > 0
+    starts = (np.cumsum(lengths) - lengths)[full]
+
+    def per_session(bit):
+        counts = np.zeros_like(lengths)
+        counts[full] = np.add.reduceat((flags & bit) != 0, starts, dtype=lengths.dtype)
+        return counts
+
+    per = np.column_stack([
+        np.ones_like(lengths),
+        lengths,
+        lengths - per_session(FLAG_IN_NETWORK),
+        per_session(FLAG_RETWEET),
+        per_session(FLAG_QUOTE),
+        per_session(FLAG_PROMOTED),
+    ]).tolist()
+    counts = {}
+    ungrouped = 0
+    for i, c in zip(index.tolist(), per):
+        group = batch.group[i]
+        if group is None:
+            ungrouped += 1
+            continue
+        total = counts.setdefault((group, batch.monitor_id[i]), [0] * 6)
+        for k, value in enumerate(c):
+            total[k] += value
+
+    groups = []
+    for group in GROUP_ORDER:
+        keys = sorted(k for k in counts if k[0] is group)
+        if not keys:
+            continue
+        monitors = [counts[k] for k in keys]
+        for (_, monitor), c in zip(keys, monitors):
+            if not c[1]:
+                raise DataError(
+                    f"group {group.value} monitor {monitor!r} has no tweets; its shares are undefined"
+                )
+        stat = {}
+        for k, name in enumerate(("oon", "retweet", "quote", "promoted"), start=2):
+            shares = np.asarray([c[k] / c[1] for c in monitors])
+            stat[f"{name}_mean"] = float(shares.mean())
+            stat[f"{name}_std"] = float(shares.std())
+        groups.append(
+            GroupStats(
+                group=group.value,
+                monitors=len(keys),
+                sessions=sum(c[0] for c in monitors),
+                tweets=sum(c[1] for c in monitors),
+                **stat,
+            )
+        )
+    return DatasetStats(
+        groups=tuple(groups),
+        total_sessions=len(index),
+        total_tweets=int(lengths.sum()),
+        ungrouped_sessions=ungrouped,
+    )
+
+
+def _stats_outcome(sessions):
+    """``dataset_stats`` and the loop's, each as its result or its error's text."""
+    outcomes = []
+    for stats in (dataset_stats, loop_dataset_stats):
+        try:
+            outcomes.append(stats(sessions))
+        except DataError as exc:
+            outcomes.append(str(exc))
+    return outcomes
+
+
+def _regrouped(sessions, group_of):
+    """``sessions`` as hand-built records, each with the group and the
+    entries ``group_of(k, session)`` gives the k-th."""
+    out = []
+    for k, s in enumerate(sessions):
+        group, entries = group_of(k, s)
+        out.append(SessionRecord(s.session_id, s.monitor_id, s.captured_at, entries, group))
+    return out
+
+
+class TestDatasetStatsGrouped:
+    """``dataset_stats`` sums each monitor's counts in one grouped
+    reduction; the per-session loop it replaced is the reference, down
+    to each float's bits and each error's text."""
+
+    @pytest.fixture(scope="class")
+    def sweep_sessions(self):
+        # the benchmark's audit-sweep fleet: 120 monitors, 1,920 sessions
+        world = build_world(n_authors=5000, seed=7)
+        return run_fleet(world, FleetConfig(monitors_per_group=30, duration_days=4, session_length=100), RankerParams(seed=7))
+
+    def test_sweep_fleet(self, sweep_sessions):
+        got, want = _stats_outcome(sweep_sessions)
+        assert got == want and len(got.groups) == 4 and got.total_sessions == 1920
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["canonical", "reversed"])
+    def test_ungrouped_sessions(self, fleet_sessions, order):
+        # every third session, and every session of one monitor, without a group
+        recs = _regrouped(
+            fleet_sessions[::order],
+            lambda k, s: (None if k % 3 == 0 or s.monitor_id == "left-001" else s.group, s.entries),
+        )
+        got, want = _stats_outcome(recs)
+        assert got == want
+        assert got.ungrouped_sessions == sum(r.group is None for r in recs) > 0
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["canonical", "reversed"])
+    def test_empty_sessions(self, fleet_sessions, order):
+        # every other session empty: each monitor keeps some entries
+        recs = _regrouped(fleet_sessions[::order], lambda k, s: (s.group, () if k % 2 else s.entries))
+        got, want = _stats_outcome(recs)
+        assert got == want and got.total_tweets < sum(map(len, fleet_sessions))
+
+    @pytest.mark.parametrize("order", [1, -1], ids=["canonical", "reversed"])
+    def test_monitors_without_tweets(self, fleet_sessions, order):
+        # three monitors with only empty sessions: the error names the
+        # first in (group order, monitor id) order, whatever the order of
+        # the sessions
+        empty = {"right-000", "left-001", "left-000"}
+        recs = _regrouped(fleet_sessions[::order], lambda k, s: (s.group, () if s.monitor_id in empty else s.entries))
+        got, want = _stats_outcome(recs)
+        assert got == want == "group left monitor 'left-000' has no tweets; its shares are undefined"
 
 
 class TestDatasetStats:
