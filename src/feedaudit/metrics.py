@@ -150,36 +150,24 @@ def _row_weights(model: DecayModel, ranks: np.ndarray, lengths: np.ndarray) -> n
     order, and at least one is positive. A rank below 1 raises
     DataError.
 
-    When every session has one length L and every rank is at most L,
-    one gather from ``model.weights(L)`` weighs the rows; otherwise
-    ``_mixed_row_weights`` does.
+    ``model.weights(L)`` is bit for bit the first L entries of
+    ``model.weights(M)`` for any M >= L, so one gather from the weights
+    of the longest session weighs every row whose rank is at most its
+    session's length; ranks past the longest session are clamped for
+    the gather only when there are some. A row past its own session's
+    length is then weighed on its own, and such rows are looked for only
+    when the largest rank exceeds the shortest session.
     """
     if int(ranks.min()) < 1:
         raise DataError(f"rank {int(ranks[ranks < 1][0])} is below 1; ranks start at 1")
-    size = int(lengths[0])
-    if int(ranks.max()) <= size and (lengths == size).all():
-        return model.weights(size)[ranks - 1]
-    return _mixed_row_weights(model, ranks, lengths)
-
-
-def _mixed_row_weights(model: DecayModel, ranks: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """``_row_weights`` of ranks of at least 1, for sessions of any
-    lengths.
-
-    The weight vectors of the distinct lengths are laid end to end in
-    one table, so a single gather weighs every row with rank <= L; a row
-    past its session's length is weighed on its own.
-    """
-    sizes = sorted(set(lengths.tolist()) - {0})
-    table = np.concatenate([model.weights(size) for size in sizes])
-    # Where rank 0 of each length would sit in the table.
-    before = np.zeros(sizes[-1] + 1, dtype=np.intp)
-    before[sizes] = list(accumulate(sizes[:-1], initial=-1))
-    row_lengths = np.repeat(lengths, lengths)
-    past = ranks > row_lengths
-    weights = table[np.where(past, 0, before[row_lengths] + ranks)]
-    for i in np.flatnonzero(past).tolist():
-        weights[i] = model.visibility(int(ranks[i]))
+    high = int(ranks.max())
+    sizes = lengths.tolist()
+    longest = max(sizes)
+    weights = model.weights(longest)[(np.minimum(ranks, longest) if high > longest else ranks) - 1]
+    if high > min(sizes):
+        past = ranks > np.repeat(lengths, lengths)
+        for i in np.flatnonzero(past).tolist():
+            weights[i] = model.visibility(int(ranks[i]))
     return weights
 
 

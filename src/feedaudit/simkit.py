@@ -520,39 +520,29 @@ def make_monitors(
     if needs_pools and not world.pools:
         raise ConfigError("world has no follow pools; build it with preset_pools=True")
 
+    # Per group: the (pool, count) draws a monitor makes, in draw order,
+    # and the pools it follows whole.
+    presets = {
+        "neutral": ((), ()),
+        "balanced": (
+            [(f"media_moderate_{side}", fleet.balanced_per_side) for side in ("left", "right")],
+            ["candidate_left", "candidate_right"],
+        ),
+    }
+    for side in ("left", "right"):
+        presets[side] = (
+            [(f"media_moderate_{side}", fleet.follows_moderate), (f"media_strong_{side}", fleet.follows_strong)],
+            [f"entities_{side}", f"candidate_{side}"],
+        )
     streams = [(101, gi, i) for gi, group in enumerate(GROUP_ORDER) for i in range(fleet.monitors_for(group))]
     rngs = _streams(seed, streams)
     monitors: list[MonitorAccount] = []
-    for gi, group in enumerate(GROUP_ORDER):
+    for group in GROUP_ORDER:
+        draws, whole = presets[group.value]
         for i in range(fleet.monitors_for(group)):
             rng = next(rngs)
-            if group is GroupLabel.NEUTRAL:
-                follows: frozenset[AuthorId] = frozenset()
-            elif group is GroupLabel.BALANCED:
-                picks = _sample_pool(
-                    rng, world.pools["media_moderate_left"], fleet.balanced_per_side,
-                    "media_moderate_left",
-                )
-                picks += _sample_pool(
-                    rng, world.pools["media_moderate_right"], fleet.balanced_per_side,
-                    "media_moderate_right",
-                )
-                picks += list(world.pools["candidate_left"])
-                picks += list(world.pools["candidate_right"])
-                follows = frozenset(picks)
-            else:
-                side = group.value
-                picks = _sample_pool(
-                    rng, world.pools[f"media_moderate_{side}"], fleet.follows_moderate,
-                    f"media_moderate_{side}",
-                )
-                picks += _sample_pool(
-                    rng, world.pools[f"media_strong_{side}"], fleet.follows_strong,
-                    f"media_strong_{side}",
-                )
-                picks += list(world.pools[f"entities_{side}"])
-                picks += list(world.pools[f"candidate_{side}"])
-                follows = frozenset(picks)
+            picks = [a for name, count in draws for a in _sample_pool(rng, world.pools[name], count, name)]
+            follows = frozenset(picks).union(*(world.pools[name] for name in whole))
             monitors.append(
                 MonitorAccount(
                     id=f"{group.value}-{i:03d}",

@@ -22,14 +22,14 @@ from feedaudit import (
     RankerParams,
     SimAuthor,
     build_exposure_table,
+    calibrate,
     exposure_share,
     group_mean_exposure,
     rank_timeline,
     top_k,
     weighted_occurrence,
 )
-from feedaudit import metrics
-from feedaudit.metrics import _mixed_row_weights, _row_weights
+from feedaudit.metrics import _row_weights
 from feedaudit.simkit import SimWorld
 
 from conftest import T0, authors_session, entry, session
@@ -306,17 +306,25 @@ class TestRowWeights:
             ranks[i] += 40
         return ranks, lengths
 
-    def test_single_length_gathers_once(self, model200, monkeypatch):
-        ranks, lengths = self.rows([13] * 7)
-        want = _mixed_row_weights(model200, ranks, lengths)
-
-        def no_mixed(*args):
-            raise AssertionError("single-length rows took the mixed path")
-
-        monkeypatch.setattr(metrics, "_mixed_row_weights", no_mixed)
-        got = _row_weights(model200, ranks, lengths)
-        assert got.tobytes() == want.tobytes()
-        assert got.tobytes() == reference_weights(model200, ranks, lengths).tobytes()
+    @pytest.mark.parametrize(
+        "calibration",
+        [
+            dict(length=500),
+            dict(length=700),
+            dict(length=100),
+            dict(length=20, top_fraction=0.1, attention_fraction=0.5),
+            dict(length=1000, top_fraction=0.3, attention_fraction=0.9),
+            dict(length=500, amplitude=0.75),
+        ],
+    )
+    def test_weights_are_prefixes(self, calibration):
+        # _row_weights gathers every session's weights from the longest
+        # session's vector: weights(n) must be the first n entries of
+        # weights(N) bit for bit, whatever position numpy's exp is at
+        model = calibrate(**calibration)
+        full = model.weights(2048).tobytes()
+        for n in range(1, 1025):
+            assert model.weights(n).tobytes() == full[: 8 * n], n
 
     @pytest.mark.parametrize(
         "lengths, past",
@@ -326,13 +334,18 @@ class TestRowWeights:
             ([5, 13, 8, 13], [0, 4, 20]),
             ([0, 6, 0, 6], []),  # empty sessions
             ([6, 6, 0], [3]),
+            ([3, 5], range(8)),  # every rank past the longest session
+            ([1, 700, 1], [0, 701]),  # ranks past length 1, not past 700
+            # rank 50 past length 10: visibility(50) may differ from
+            # weights(700)[49] in the last bit (math.exp against numpy's
+            # exp), so the scan must run though no rank passes 700
+            ([10, 700, 10], [9, 719]),
         ],
     )
     def test_equals_row_reference(self, model200, lengths, past):
         ranks, lengths = self.rows(lengths, past)
         want = reference_weights(model200, ranks, lengths).tobytes()
         assert _row_weights(model200, ranks, lengths).tobytes() == want
-        assert _mixed_row_weights(model200, ranks, lengths).tobytes() == want
 
 
 class TestTopK:

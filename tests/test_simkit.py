@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 from datetime import timedelta
@@ -596,6 +597,32 @@ class TestStreams:
         monkeypatch.setattr(simkit, "_streams", reference_streams)
         assert got == make_monitors(world, fleet, seed)
         assert len({m.follows for m in got if m.group is GroupLabel.LEFT}) > 1
+
+
+class TestMakeMonitorsFollows:
+    """Each monitor's follows, pinned by digest: a change in which pools
+    are drawn from, in what order or with what counts, changes them."""
+
+    @staticmethod
+    def follows_digest(seed, fleet):
+        h = hashlib.sha256()
+        for m in make_monitors(build_world(seed=seed), fleet, seed):
+            h.update(f"{m.id}\t{m.group.value}\t{','.join(sorted(m.follows))}\n".encode())
+        return h.hexdigest()
+
+    @pytest.mark.parametrize(
+        "seed, fleet_kw, want",
+        [
+            (0, {}, "40939ffc16042464aa541acaba3bafedb6f3709f02171d23d04760e73a5f704a"),
+            (7, {}, "0bd54569dd9e93a92c444c930430cfdcb546457702a0cf1ce6b7f8b121a49db5"),
+            (2**64 + 5, {}, "1bd8215af6b86a7df46427ece609019962abe2bb81f4b3affbb952ce45fac62d"),
+            (0, dict(balanced_per_side=3, follows_strong=2), "15c8e0a76f1d826358c418bc0c1ef9826c487212d1397b0ad3383efe7dc2ef55"),
+            (7, dict(balanced_per_side=3, follows_strong=2), "8aea510706f2f0b5a441339e4af3d631306acfc09d3566b96958f9fb9513a1fa"),
+            (2**64 + 5, dict(balanced_per_side=3, follows_strong=2), "ada0fa72c1cf6f04186d6951ab4c197700e7d310f6e999888945b93ca1321ecb"),
+        ],
+    )
+    def test_follows_pinned(self, seed, fleet_kw, want):
+        assert self.follows_digest(seed, FleetConfig(**fleet_kw)) == want
 
 
 @pytest.fixture
