@@ -5,7 +5,9 @@ G = 2 * sum(i * x_(i)) / (n * sum(x)) - (n + 1) / n over ascending
 x_(i), which is algebraically equal to the mean-absolute-difference
 double sum and to 1 - 2 * AUC of the Lorenz curve below. Group-level
 comparisons test the per-monitor Gini distributions of two groups with
-the Mann-Whitney U test.
+the Mann-Whitney U test. Lorenz curves stay float64 arrays from
+:func:`lorenz` through :func:`average_lorenz` and :func:`lorenz_auc`;
+their tuples of Python floats are built only for callers that read them.
 """
 
 from __future__ import annotations
@@ -78,10 +80,30 @@ class LorenzCurve:
     cumulative exposure shares ``y``.
 
     Starts at (0, 0), ends at (1, 1), convex and non-decreasing.
+
+    A curve from :func:`lorenz` holds its axes as two read-only float64
+    arrays and builds the tuples ``x`` and ``y`` on their first read;
+    :func:`average_lorenz` and :func:`lorenz_auc` read the arrays and
+    build none. In equality, hash, repr, ``dataclasses`` functions and
+    pickle it is the curve built by hand from the same tuples.
     """
 
     x: tuple[float, ...]
     y: tuple[float, ...]
+
+    def __getattr__(self, name: str) -> tuple[float, ...]:
+        # Reached only for attributes not set: the axes of a curve from
+        # lorenz before their first read, and names the curve lacks.
+        axes = self.__dict__.get("_arrays")
+        if axes is None or name not in ("x", "y"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = tuple(axes[name == "y"].tolist())
+        object.__setattr__(self, name, value)
+        return value
+
+    def __reduce__(self) -> tuple:
+        # Pickled as the hand-built curve, without the arrays.
+        return LorenzCurve, (self.x, self.y)
 
     @property
     def points(self) -> tuple[tuple[float, float], ...]:
@@ -89,8 +111,20 @@ class LorenzCurve:
         return tuple(zip(self.x, self.y))
 
 
+def _axes(curve: LorenzCurve) -> tuple[np.ndarray, np.ndarray]:
+    """The axes of ``curve`` as float64 arrays: the arrays of a curve
+    from :func:`lorenz`, or a hand-built curve's tuples converted."""
+    axes = getattr(curve, "_arrays", None)
+    if axes is None:
+        # np.fromiter reads a tuple of floats faster than np.asarray,
+        # which first discovers the tuple's shape and dtype.
+        axes = tuple(np.fromiter(v, np.float64, len(v)) for v in (curve.x, curve.y))
+    return axes
+
+
 def lorenz(values: Iterable[float]) -> LorenzCurve:
-    """Lorenz curve of a non-negative exposure vector."""
+    """Lorenz curve of a non-negative exposure vector, backed by arrays
+    (see :class:`LorenzCurve`)."""
     x = _sorted_exposures(values)
     n = len(x)
     if float(x[-1]) * n > _SUM_LIMIT:  # the sums are at most n * max(x)
@@ -99,15 +133,17 @@ def lorenz(values: Iterable[float]) -> LorenzCurve:
         if not finite:
             # Past the float64 range; the shares do not change with the scale.
             x = x / x[-1]
-    cum = np.cumsum(x) / x.sum()
-    shares = np.arange(1, n + 1) / n
-    return LorenzCurve(x=(0.0, *shares.tolist()), y=(0.0, *cum.tolist()))
+    shares = np.arange(n + 1) / n
+    cum = np.concatenate(((0.0,), np.cumsum(x) / x.sum()))
+    shares.flags.writeable = cum.flags.writeable = False
+    curve = object.__new__(LorenzCurve)
+    object.__setattr__(curve, "_arrays", (shares, cum))
+    return curve
 
 
 def lorenz_auc(curve: LorenzCurve) -> float:
     """Trapezoidal area under a Lorenz curve; Gini = 1 - 2 * AUC."""
-    xs = np.asarray(curve.x)
-    ys = np.asarray(curve.y)
+    xs, ys = _axes(curve)
     return float(_trapezoid(ys, xs))
 
 
@@ -131,13 +167,7 @@ def average_lorenz(curves: Sequence[LorenzCurve], grid_size: int = 100) -> Loren
     if grid_size < 2:
         raise ConfigError(f"grid_size must be >= 2, got {grid_size}")
     grid = np.linspace(0.0, 1.0, grid_size)
-
-    def axis(values: tuple[float, ...]) -> np.ndarray:
-        # np.fromiter reads a tuple of floats faster than np.asarray,
-        # which first discovers the tuple's shape and dtype.
-        return np.fromiter(values, np.float64, len(values))
-
-    resampled = np.stack([np.interp(grid, axis(c.x), axis(c.y)) for c in curves])
+    resampled = np.stack([np.interp(grid, *_axes(c)) for c in curves])
     return LorenzBand(
         grid=tuple(grid.tolist()),
         mean=tuple(resampled.mean(axis=0).tolist()),

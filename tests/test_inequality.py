@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +29,17 @@ def gini_double_sum(values):
     x = np.asarray(values, dtype=np.float64)
     n = len(x)
     return float(np.abs(x[:, None] - x[None, :]).sum() / (2 * n * n * x.mean()))
+
+
+def heavy_zero_vectors(seed, count):
+    """``count`` exposure vectors of 1 to 399 values, about 70% zeros."""
+    rng = np.random.default_rng(seed)
+    vectors = []
+    for n in rng.integers(1, 400, size=count):
+        v = np.where(rng.random(n) < 0.7, 0.0, rng.exponential(size=n))
+        v[-1] = 1.0
+        vectors.append(v)
+    return vectors
 
 
 def _table(monitor_id, entries, group=None):
@@ -183,6 +197,69 @@ class TestLorenz:
             assert 1 - 2 * lorenz_auc(curve) == pytest.approx(gini(x), abs=1e-9)
 
 
+class TestLorenzCurveContract:
+    """What callers may rely on in a ``LorenzCurve`` from :func:`lorenz`:
+    the same as in a hand-built curve with the same tuples."""
+
+    VALUES = [0.0, 3.5, 0.0, 1.25, 7.0, 0.0, 2.0]
+
+    def pair(self):
+        """A fresh curve from :func:`lorenz`, whose axes no caller has
+        read, and a hand-built copy of it."""
+        probe = lorenz(self.VALUES)
+        return lorenz(self.VALUES), LorenzCurve(x=tuple(probe.x), y=tuple(probe.y))
+
+    def test_equality_and_hash(self):
+        curve, hand = self.pair()
+        assert curve == hand and hand == curve
+        curve, hand = self.pair()
+        assert hash(curve) == hash(hand)
+        assert len({self.pair()[0], hand}) == 1
+        assert curve != LorenzCurve(x=hand.x, y=(0.0,) * len(hand.y))
+
+    def test_repr(self):
+        curve, hand = self.pair()
+        assert repr(curve) == repr(hand)
+        assert repr(curve).startswith("LorenzCurve(x=(0.0, 0.14285714285714285, ")
+
+    def test_dataclass_functions(self):
+        curve, hand = self.pair()
+        assert dataclasses.is_dataclass(curve)
+        assert tuple(f.name for f in dataclasses.fields(curve)) == ("x", "y")
+        assert dataclasses.asdict(curve) == {"x": hand.x, "y": hand.y}
+        curve, _ = self.pair()
+        assert dataclasses.astuple(curve) == (hand.x, hand.y)
+        curve, _ = self.pair()
+        assert dataclasses.replace(curve) == hand
+        flat = (0.0,) * len(hand.y)
+        assert dataclasses.replace(self.pair()[0], y=flat) == LorenzCurve(x=hand.x, y=flat)
+
+    def test_pickle_round_trip(self):
+        curve, hand = self.pair()
+        back = pickle.loads(pickle.dumps(curve))
+        assert type(back) is LorenzCurve and back == hand and hash(back) == hash(hand)
+        assert type(back.x) is tuple and type(back.y) is tuple
+        assert pickle.loads(pickle.dumps(hand)) == hand
+        assert pickle.dumps(self.pair()[0]) == pickle.dumps(hand)
+
+    def test_immutable(self):
+        curve, hand = self.pair()
+        for name in ("x", "y", "extra"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(curve, name, (0.0, 1.0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del curve.x
+        assert curve == hand
+
+    def test_axes_hold_floats(self):
+        curve, hand = self.pair()
+        assert type(curve.x) is tuple and type(curve.y) is tuple
+        assert all(type(v) is float for v in (*curve.x, *curve.y))
+        curve, _ = self.pair()
+        assert all(type(v) is float for p in curve.points for v in p)
+        assert curve.points == hand.points
+
+
 class TestAverageLorenz:
     def test_hand_example(self):
         band = average_lorenz([lorenz([1, 1]), lorenz([0, 1])], grid_size=3)
@@ -210,6 +287,35 @@ class TestAverageLorenz:
             band = average_lorenz(curves, grid_size=grid_size)
             assert band.mean == tuple(resampled.mean(axis=0).tolist())
             assert band.std == tuple(resampled.std(axis=0).tolist())
+
+    @staticmethod
+    def hexed(values):
+        return [float.hex(v) for v in values]
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            heavy_zero_vectors(23, 12),
+            [[4.0]],
+            [[0.0, 1e308, 1e308], [0.0, 0.0, 5e307], [1e300] * 999 + [1e306]],
+        ],
+        ids=["heavy-zero", "n=1", "past-float64-range"],
+    )
+    def test_array_curves_equal_hand_built_copies(self, vectors):
+        # Bands and areas from the curves of lorenz equal, bit for bit,
+        # those of hand-built copies, and reading them builds no tuples.
+        copies = []
+        for v in vectors:
+            probe = lorenz(v)
+            copies.append(LorenzCurve(x=tuple(probe.x), y=tuple(probe.y)))
+        curves = [lorenz(v) for v in vectors]
+        for grid_size in (2, 100):
+            band = average_lorenz(curves, grid_size=grid_size)
+            expected = average_lorenz(copies, grid_size=grid_size)
+            for got, want in zip(dataclasses.astuple(band), dataclasses.astuple(expected)):
+                assert self.hexed(got) == self.hexed(want)
+        assert self.hexed(map(lorenz_auc, curves)) == self.hexed(map(lorenz_auc, copies))
+        assert all("x" not in vars(c) and "y" not in vars(c) for c in curves)
 
     def test_errors(self):
         with pytest.raises(DataError):
