@@ -502,26 +502,18 @@ def cmd_lorenz(args: argparse.Namespace) -> int:
 
 
 def _topk_rows(
-    tables: Mapping[GroupLabel, Sequence[ExposureTable]],
-    group: GroupLabel,
-    k: int,
-    labels: Mapping[str, str],
+    group: GroupLabel, means: Mapping[str, float], k: int, labels: Mapping[str, str]
 ) -> list[dict[str, Any]]:
-    if group not in tables:
-        raise DataError(f"no sessions for group {group.value}")
-    means = group_mean_exposure(tables[group])
+    """The top-k rows of one group, from its ``group_mean_exposure``."""
     return [
         dict(zip(_TOPK_COLUMNS, (group.value, a, e, labels.get(a, LEAN_UNKNOWN))))
         for a, e in top_k(means, k)
     ]
 
 
-def _shares(
-    tables: Sequence[ExposureTable], k: int, labels: Mapping[str, str]
-) -> dict[str, float]:
-    """Share of one group's top-k exposure mass held by left- and by
-    right-leaning authors."""
-    means = group_mean_exposure(tables)
+def _shares(means: Mapping[str, float], k: int, labels: Mapping[str, str]) -> dict[str, float]:
+    """Share of one group's top-k exposure mass, from its
+    ``group_mean_exposure``, held by left- and by right-leaning authors."""
     return {
         side: exposure_share(means, k, lambda l, s=side: l == s, labels)
         for side in ("left", "right")
@@ -532,12 +524,15 @@ def cmd_topk(args: argparse.Namespace) -> int:
     analysis, tables = _prepare_tables(args)
     labels = _roster_labels(args.authors)
     group = GroupLabel(args.target_group)
-    rows = _topk_rows(tables, group, args.k, labels)
+    if group not in tables:
+        raise DataError(f"no sessions for group {group.value}")
+    means = group_mean_exposure(tables[group])
+    rows = _topk_rows(group, means, args.k, labels)
     lines = [f"{r['author_id']:<12} {r['mean_exposure']:.4f}  {r['lean_label']}" for r in rows]
     if labels:
         lines += [
             f"top-{args.k} exposure share, {side}-leaning authors: {share:.4f}"
-            for side, share in _shares(tables[group], args.k, labels).items()
+            for side, share in _shares(means, args.k, labels).items()
         ]
     _emit(args, rows, _TOPK_COLUMNS, lines)
     return 0
@@ -638,14 +633,14 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         if group in tables and GroupLabel.BALANCED in tables
     }
     stats = dataset_stats(sessions)
+    means = {group: group_mean_exposure(tables[group]) for group in GROUP_ORDER if group in tables}
     reports = {
         "stats.csv": ([dataclasses.asdict(g) for g in stats.groups], _STATS_COLUMNS),
         "gini_monitors.csv": (_gini_rows(tables, gini_report), _GINI_COLUMNS),
         "gini_pairwise.csv": (_gini_pair_rows(gini_report), _GINI_PAIR_COLUMNS),
         "lorenz.csv": (_lorenz_rows(tables, analysis["lorenz_grid"]), _LORENZ_COLUMNS),
         "topk.csv": (
-            [row for group in GROUP_ORDER if group in tables
-             for row in _topk_rows(tables, group, analysis["top"], labels)],
+            [row for group, m in means.items() for row in _topk_rows(group, m, analysis["top"], labels)],
             _TOPK_COLUMNS,
         ),
         **{
@@ -656,10 +651,9 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     summary: dict[str, Any] = {"gini_median": gini_report.medians(), "shares": {}}
     if labels:
-        for group in GROUP_ORDER:
-            if group in tables:
-                with contextlib.suppress(AnalysisError):
-                    summary["shares"][group.value] = _shares(tables[group], analysis["top"], labels)
+        for group, m in means.items():
+            with contextlib.suppress(AnalysisError):
+                summary["shares"][group.value] = _shares(m, analysis["top"], labels)
     if len(amplification) == 2:
         try:
             mag = group_amplification_magnitude(

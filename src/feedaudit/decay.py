@@ -1,7 +1,9 @@
 """Rank-decay visibility model.
 
 The probability that a tweet at rank r is actually seen is modeled as an
-exponential decay p(r) = A * exp(-lam * r). The decay rate is not chosen
+exponential decay p(r) = A * exp(-lam * r), which one numpy expression
+evaluates for one rank and for a vector alike, so a rank's visibility
+has the same bits wherever it is computed. The decay rate is not chosen
 by hand: it is calibrated so that a chosen top fraction of ranks carries
 a chosen fraction of total attention, e.g. "the top 20% of a 500-tweet
 timeline receives 70% of the attention mass". That constraint pins lam;
@@ -12,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,21 +59,20 @@ class DecayModel:
         """Probability that the tweet at ``rank`` (1-based) is seen."""
         if rank < 1:
             raise ConfigError(f"rank must be >= 1, got {rank}")
-        return self.amplitude * math.exp(-self.rate * rank)
+        # a one-element array, not a scalar, takes the exp loop of weights
+        return float(self._visibilities(np.array([rank], dtype=np.float64))[0])
 
     def weights(self, length: int) -> np.ndarray:
-        """Vector of visibilities for ranks 1..length."""
+        """Read-only vector of visibilities for ranks 1..length."""
         if length < 1:
             raise ConfigError(f"length must be >= 1, got {length}")
-        return _weights_cached(self.amplitude, self.rate, length)
+        w = self._visibilities(np.arange(1, length + 1, dtype=np.float64))
+        w.flags.writeable = False
+        return w
 
-
-@lru_cache(maxsize=64)
-def _weights_cached(amplitude: float, rate: float, length: int) -> np.ndarray:
-    ranks = np.arange(1, length + 1, dtype=np.float64)
-    w = amplitude * np.exp(-rate * ranks)
-    w.setflags(write=False)
-    return w
+    def _visibilities(self, ranks: np.ndarray) -> np.ndarray:
+        """p(r) for each rank of an integer or float64 array."""
+        return self.amplitude * np.exp(-self.rate * ranks)
 
 
 def _attention_ratio(rate: float, length: int, k: int) -> float:

@@ -143,32 +143,12 @@ def _check_options(scope: str, attribution: str) -> None:
         )
 
 
-def _row_weights(model: DecayModel, ranks: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The visibility weight of each row: ``model.weights(L)[rank - 1]``
-    for a row of a session of length L, or ``model.visibility(rank)``
-    for a rank past L. ``lengths`` are the sessions' lengths, in row
-    order, and at least one is positive. A rank below 1 raises
-    DataError.
-
-    ``model.weights(L)`` is bit for bit the first L entries of
-    ``model.weights(M)`` for any M >= L, so one gather from the weights
-    of the longest session weighs every row whose rank is at most its
-    session's length; ranks past the longest session are clamped for
-    the gather only when there are some. A row past its own session's
-    length is then weighed on its own, and such rows are looked for only
-    when the largest rank exceeds the shortest session.
-    """
+def _row_weights(model: DecayModel, ranks: np.ndarray) -> np.ndarray:
+    """The visibility weight of each row, ``model.visibility(rank)``;
+    a rank below 1 raises DataError."""
     if int(ranks.min()) < 1:
         raise DataError(f"rank {int(ranks[ranks < 1][0])} is below 1; ranks start at 1")
-    high = int(ranks.max())
-    sizes = lengths.tolist()
-    longest = max(sizes)
-    weights = model.weights(longest)[(np.minimum(ranks, longest) if high > longest else ranks) - 1]
-    if high > min(sizes):
-        past = ranks > np.repeat(lengths, lengths)
-        for i in np.flatnonzero(past).tolist():
-            weights[i] = model.visibility(int(ranks[i]))
-    return weights
+    return model._visibilities(ranks)
 
 
 def build_exposure_table(
@@ -211,7 +191,7 @@ def build_exposure_table(
     excluded = (FLAG_IN_NETWORK if scope == SCOPE_OON else 0) | (0 if include_promoted else FLAG_PROMOTED)
     in_scope = (flags & excluded) == 0
     codes = (batch.author if attribution == ATTR_ORIGINAL else batch.shown)[rows][in_scope]
-    sums = np.bincount(codes, weights=_row_weights(model, batch.rank[rows], lengths)[in_scope])
+    sums = np.bincount(codes, weights=_row_weights(model, batch.rank[rows])[in_scope])
     present = _first_seen(codes, len(sums))
     return ExposureTable(
         monitor_id=monitor_ids.pop(),

@@ -77,6 +77,57 @@ class TestCalibrate:
         )
         assert json.loads(out)["visibility_rank_1"] == pytest.approx(0.996964, abs=2e-5)
 
+    @pytest.mark.parametrize(
+        "argv, want",
+        [
+            (
+                ["--length", "20", "--json"],
+                '{\n  "length": 20,\n  "top_fraction": 0.2,\n  "attention_fraction": 0.7,\n'
+                '  "amplitude": 1.34924,\n  "rate": 0.299538,\n  "residual": -1.11022e-16,\n'
+                '  "visibility_rank_1": 1.0,\n  "visibility_rank_last": 0.00337546\n}\n',
+            ),
+            (
+                ["--length", "20"],
+                "p(r) = 1.34924 * exp(-0.299538 * r)  [length 20, top 0.2 of ranks "
+                "carry 0.7 of attention, residual -1.11e-16]\n",
+            ),
+            (
+                ["--length", "500", "--json"],
+                '{\n  "length": 500,\n  "top_fraction": 0.2,\n  "attention_fraction": 0.7,\n'
+                '  "amplitude": 1.01205,\n  "rate": 0.0119815,\n  "residual": 1.11022e-16,\n'
+                '  "visibility_rank_1": 1.0,\n  "visibility_rank_last": 0.00253191\n}\n',
+            ),
+            (
+                ["--length", "500"],
+                "p(r) = 1.01205 * exp(-0.0119815 * r)  [length 500, top 0.2 of ranks "
+                "carry 0.7 of attention, residual 1.11e-16]\n",
+            ),
+            (
+                ["--length", "700", "--json"],
+                '{\n  "length": 700,\n  "top_fraction": 0.2,\n  "attention_fraction": 0.7,\n'
+                '  "amplitude": 1.00859,\n  "rate": 0.00855823,\n  "residual": -1.11022e-16,\n'
+                '  "visibility_rank_1": 1.0,\n  "visibility_rank_last": 0.00252326\n}\n',
+            ),
+            (
+                ["--length", "700"],
+                "p(r) = 1.00859 * exp(-0.00855823 * r)  [length 700, top 0.2 of ranks "
+                "carry 0.7 of attention, residual -1.11e-16]\n",
+            ),
+            (
+                ["--length", "500", "--amplitude", "1.009", "--json"],
+                '{\n  "length": 500,\n  "top_fraction": 0.2,\n  "attention_fraction": 0.7,\n'
+                '  "amplitude": 1.009,\n  "rate": 0.0119815,\n  "residual": 1.11022e-16,\n'
+                '  "visibility_rank_1": 0.996983,\n  "visibility_rank_last": 0.00252427\n}\n',
+            ),
+        ],
+    )
+    def test_exact_output(self, capsys, argv, want):
+        # the only output that reads DecayModel.visibility, pinned to the
+        # character
+        rc, out, _ = run(capsys, "calibrate", *argv)
+        assert rc == 0
+        assert out == want
+
     def test_bad_length_is_config_error(self, capsys):
         rc, _, err = run(capsys, "calibrate", "--length", "0")
         assert rc == 2

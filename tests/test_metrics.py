@@ -306,25 +306,36 @@ class TestRowWeights:
             ranks[i] += 40
         return ranks, lengths
 
-    @pytest.mark.parametrize(
-        "calibration",
-        [
-            dict(length=500),
-            dict(length=700),
-            dict(length=100),
-            dict(length=20, top_fraction=0.1, attention_fraction=0.5),
-            dict(length=1000, top_fraction=0.3, attention_fraction=0.9),
-            dict(length=500, amplitude=0.75),
-        ],
-    )
+    CALIBRATIONS = [
+        dict(length=500),
+        dict(length=700),
+        dict(length=100),
+        dict(length=20, top_fraction=0.1, attention_fraction=0.5),
+        dict(length=1000, top_fraction=0.3, attention_fraction=0.9),
+        dict(length=500, amplitude=0.75),
+    ]
+
+    @pytest.mark.parametrize("calibration", CALIBRATIONS)
     def test_weights_are_prefixes(self, calibration):
-        # _row_weights gathers every session's weights from the longest
-        # session's vector: weights(n) must be the first n entries of
-        # weights(N) bit for bit, whatever position numpy's exp is at
+        # a row's weight depends on its rank alone: weights(n) must be
+        # the first n entries of weights(N) bit for bit, whatever
+        # position numpy's exp is at
         model = calibrate(**calibration)
         full = model.weights(2048).tobytes()
         for n in range(1, 1025):
             assert model.weights(n).tobytes() == full[: 8 * n], n
+
+    @pytest.mark.parametrize("calibration", CALIBRATIONS)
+    def test_one_formula_for_every_rank(self, calibration):
+        # visibility, weights and _row_weights give the same bits for a
+        # rank, whatever its position in the array and the ranks' dtype
+        model = calibrate(**calibration)
+        full = model.weights(4096)
+        assert [float.hex(model.visibility(r)) for r in range(1, 4097)] == [
+            float.hex(float(w)) for w in full
+        ]
+        ranks = np.random.default_rng(7).permutation(np.arange(1, 4097, dtype=np.intc))
+        assert _row_weights(model, ranks).tobytes() == full[ranks - 1].tobytes()
 
     @pytest.mark.parametrize(
         "lengths, past",
@@ -336,16 +347,15 @@ class TestRowWeights:
             ([6, 6, 0], [3]),
             ([3, 5], range(8)),  # every rank past the longest session
             ([1, 700, 1], [0, 701]),  # ranks past length 1, not past 700
-            # rank 50 past length 10: visibility(50) may differ from
-            # weights(700)[49] in the last bit (math.exp against numpy's
-            # exp), so the scan must run though no rank passes 700
+            # rank 50 past length 10 but within 700: its weight is
+            # visibility(50), the same bits as weights(700)[49]
             ([10, 700, 10], [9, 719]),
         ],
     )
     def test_equals_row_reference(self, model200, lengths, past):
         ranks, lengths = self.rows(lengths, past)
         want = reference_weights(model200, ranks, lengths).tobytes()
-        assert _row_weights(model200, ranks, lengths).tobytes() == want
+        assert _row_weights(model200, ranks).tobytes() == want
 
 
 class TestTopK:
