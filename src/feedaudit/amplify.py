@@ -20,7 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .errors import AnalysisError, ConfigError, DataError
-from .metrics import ExposureTable, _authors, _id_order, _stack, group_exposures
+from .metrics import ExposureTable, _stack, group_exposures
 from .model import AuthorId, LEAN_UNKNOWN
 from .mwu import MODE_AUTO, _mann_whitney_entries, mann_whitney_u
 
@@ -83,12 +83,10 @@ def build_amplification_report(
     Both groups need at least two monitors for the rank test to be
     meaningful.
 
-    The tables are stacked once (``metrics._stack``), with their authors
-    in id order: the cached order of the tables' batch, or for tables
-    built by hand their ids sorted on each call. A stable sort of
-    values in that order breaks ties by id. Group means come from
-    ``group_exposures``, and each candidate's rank test from its
-    non-zero entries in the stack: the partisan tables' entries are
+    The tables are stacked once, with their authors in id order, so a
+    stable sort of values in that order breaks ties by id. Group means
+    come from ``group_exposures``, and each candidate's rank test from
+    its non-zero entries in the stack: the partisan tables' entries are
     sample A, the baseline's sample B, and every monitor without an
     entry, or with an explicit 0.0, counts exposure 0.
     """
@@ -102,10 +100,9 @@ def build_amplification_report(
     n_part = len(partisan_tables)
     n_base = len(baseline_tables)
     tables = [*partisan_tables, *baseline_tables]
-    ids, codes, values, bounds = _stack(tables)
-    authors, codes = _authors(ids, codes, _id_order(tables, ids))
-    partisan_means, partisan_seen = group_exposures(codes, values, bounds[: n_part + 1], len(authors))
-    baseline_means, baseline_seen = group_exposures(codes, values, bounds[n_part:], len(authors))
+    authors, positions, values, bounds = _stack(tables, by_id=True)
+    partisan_means, partisan_seen = group_exposures(positions, values, bounds[: n_part + 1], len(authors))
+    baseline_means, baseline_seen = group_exposures(positions, values, bounds[n_part:], len(authors))
     pooled = (partisan_means * n_part + baseline_means * n_base) / (n_part + n_base)
     # Candidates in id order, as the authors are.
     candidates = np.sort(np.argsort(-pooled, kind="stable")[:top])
@@ -113,7 +110,7 @@ def build_amplification_report(
     # stack: an entry's author position maps to its candidate's row.
     row = np.full(len(authors), -1, dtype=np.intp)
     row[candidates] = np.arange(len(candidates))
-    row = row[codes]
+    row = row[positions]
     tested = np.flatnonzero((row >= 0) & (values != 0.0))
     statistics, pvalues, _ = _mann_whitney_entries(
         row[tested], values[tested], tested < bounds[n_part], len(candidates), n_part, n_base, mode

@@ -21,12 +21,9 @@ import os
 import sys
 from datetime import datetime
 from enum import Enum
-from itertools import pairwise
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, Mapping, Sequence
-
-import numpy as np
 
 from . import __version__
 from .amplify import (
@@ -38,7 +35,7 @@ from .errors import AnalysisError, ConfigError, DataError, FeedAuditError
 from .inequality import GiniReport, average_lorenz, group_gini_distribution, lorenz
 from .metrics import (
     ExposureTable,
-    _stack,
+    _exposures,
     build_exposure_table,
     exposure_share,
     group_mean_exposure,
@@ -485,8 +482,7 @@ def _lorenz_rows(
     for group in GROUP_ORDER:
         if group not in tables:
             continue
-        values, bounds = _stack(tables[group])[2:]
-        curves = [lorenz(values[a:b]) for a, b in pairwise(bounds)]
+        curves = [lorenz(_exposures(t)) for t in tables[group]]
         band = average_lorenz(curves, grid_size=grid_size)
         rows.extend(
             dict(zip(_LORENZ_COLUMNS, (group.value, x, m, s)))
@@ -558,8 +554,9 @@ def cmd_amplify(args: argparse.Namespace) -> int:
     labels = _roster_labels(args.authors)
     top = args.k if args.k is not None else analysis["top"]
     if args.all:
-        # at least 1: a log with no observed author gives the empty report
-        top = max(1, len(np.unique(_stack([*tables[partisan], *tables[baseline]])[1])))
+        # The entries bound the distinct authors (at least 1: a log with
+        # no observed author gives the empty report).
+        top = max(1, sum(len(t.entries) for t in (*tables[partisan], *tables[baseline])))
     alpha = args.alpha if args.alpha is not None else analysis["alpha_amplify"]
     rows = build_amplification_report(
         tables[partisan],

@@ -105,8 +105,10 @@ def calibrate(
     1..length, by bisection on lam in (1e-12, 10]. The residual of the
     returned model is below 1e-10.
 
-    When ``amplitude`` is omitted the model is normalized so p(1) = 1
-    exactly. Passing an explicit amplitude (e.g. a published constant)
+    When ``amplitude`` is omitted the model is normalized to unit
+    visibility at rank 1: ``exp(rate)`` times ``exp(-rate)`` rounds to a
+    p(1) within 2**-52 of 1, which may lie a last bit above or below
+    it. Passing an explicit amplitude (e.g. a published constant)
     overrides that; it must keep p(1) <= 1.
 
     Raises ConfigError for out-of-range arguments and AnalysisError when

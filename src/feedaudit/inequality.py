@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, pairwise
+from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import AnalysisError, ConfigError, DataError
-from .metrics import ExposureTable, _stack
+from .metrics import ExposureTable, _exposures
 from .model import GROUP_ORDER, GroupLabel
 from .mwu import MODE_AUTO, mann_whitney_u
 
@@ -235,8 +235,7 @@ def group_gini_distribution(
             raise DataError(
                 f"group {key!s} has {len(tables)} monitor(s); need at least 2"
             )
-        values, bounds = _stack(tables)[2:]
-        per_group[str(key)] = tuple(gini(values[a:b]) for a, b in pairwise(bounds))
+        per_group[str(key)] = tuple(gini(_exposures(t)) for t in tables)
     comparisons = []
     for ga, gb in combinations(per_group, 2):
         res = mann_whitney_u(per_group[ga], per_group[gb], mode=mode)

@@ -13,8 +13,10 @@ the authors it saw, into the id list of the batch its sessions came
 from, in order of first appearance, and their float64 exposures. It
 keeps that batch, whose cached ``id_order`` breaks ties by author id. Its
 ``entries`` read like a dict of numpy scalars, which is built only when
-an author is looked up. The consumers below read the arrays and stack
-tables of one batch by their codes, so they make no per-author Python
+an author is looked up. The group means and the amplification report
+read one stack of their tables' entries, in which ``_stack`` alone
+codes and orders the authors; a per-monitor Gini or Lorenz curve reads
+its own table's exposure array. No consumer makes a per-author Python
 object.
 """
 
@@ -249,36 +251,42 @@ def top_k(
     return heapq.nsmallest(k, items, key=lambda kv: (-kv[1], kv[0]))
 
 
-def _stack(
-    tables: Sequence[ExposureTable],
-) -> tuple[Sequence[AuthorId], np.ndarray, np.ndarray, list[int]]:
-    """The entries of at least one table end to end in one id space: the
-    author ids, each entry's code into them and its exposure, and the
-    bounds of the tables, whose entries are ``bounds[j]:bounds[j + 1]``.
+def _exposures(table: ExposureTable) -> np.ndarray:
+    """The exposures of ``table``'s entries, in entry order, as float64:
+    the array of a built table, or a hand-built mapping's values."""
+    entries = table.entries
+    if isinstance(entries, _Entries):
+        return entries.exposure
+    return np.fromiter(entries.values(), np.float64, len(entries))
 
-    Built tables whose sessions came from one batch share its ids and are
-    stacked by their codes. Any other set, such as tables built by hand
-    from a dict, is coded anew in order of first appearance.
+
+def _stack(
+    tables: Sequence[ExposureTable], by_id: bool = False
+) -> tuple[list[AuthorId], np.ndarray, np.ndarray, list[int]]:
+    """The entries of at least one table end to end: the authors they
+    hold, each entry's position among those authors and its exposure,
+    and the bounds of the tables, whose entries are
+    ``bounds[j]:bounds[j + 1]``.
+
+    The authors are in order of first appearance, or with ``by_id`` in
+    string order of their ids. Built tables whose sessions came from one
+    batch are stacked by their codes into its ids, and ordered by id
+    with its cached ``id_order``. Any other set, such as tables built by
+    hand from a dict, is coded in order of first appearance, and sorted
+    here for ``by_id``.
     """
     entries = [t.entries for t in tables]
     bounds = list(accumulate(map(len, entries), initial=0))
+    values = np.concatenate([_exposures(t) for t in tables])
     first = entries[0]
     if all(isinstance(e, _Entries) and e.ids is first.ids for e in entries):
-        codes = np.concatenate([e.codes for e in entries])
-        return first.ids, codes, np.concatenate([e.exposure for e in entries]), bounds
-    authors = dict.fromkeys(chain.from_iterable(entries))
-    position = dict(zip(authors, range(len(authors))))
-    codes = np.fromiter(map(position.__getitem__, chain.from_iterable(entries)), np.intp, bounds[-1])
-    values = np.fromiter(chain.from_iterable(e.values() for e in entries), np.float64, bounds[-1])
-    return list(authors), codes, values, bounds
-
-
-def _authors(
-    ids: Sequence[AuthorId], codes: np.ndarray, order: np.ndarray | None = None
-) -> tuple[list[AuthorId], np.ndarray]:
-    """The authors of ``codes`` and each code's position among them: in
-    order of first appearance, or in ``order``, a permutation of the
-    codes into ``ids``."""
+        ids, codes = first.ids, np.concatenate([e.codes for e in entries])
+        order = first.batch.id_order if by_id else None
+    else:
+        ids = list(dict.fromkeys(chain.from_iterable(entries)))
+        position = dict(zip(ids, range(len(ids))))
+        codes = np.fromiter(map(position.__getitem__, chain.from_iterable(entries)), np.intp, bounds[-1])
+        order = string_order(ids) if by_id else None
     if order is None:
         present = _first_seen(codes, len(ids))
     else:
@@ -287,17 +295,7 @@ def _authors(
         present = order[seen[order]]
     position = np.empty(len(ids), dtype=np.intp)
     position[present] = np.arange(len(present))
-    return list(map(ids.__getitem__, present.tolist())), position[codes]
-
-
-def _id_order(tables: Sequence[ExposureTable], ids: Sequence[AuthorId]) -> np.ndarray:
-    """The codes into ``ids``, the id space ``_stack`` gave ``tables``,
-    in string order of their ids: the cached ``id_order`` of the batch
-    when the tables were stacked by its codes, else sorted here."""
-    first = tables[0].entries
-    if isinstance(first, _Entries) and first.ids is ids:
-        return first.batch.id_order
-    return string_order(ids)
+    return list(map(ids.__getitem__, present.tolist())), position[codes], values, bounds
 
 
 def group_exposures(
@@ -331,9 +329,8 @@ def group_mean_exposure(tables: Sequence[ExposureTable]) -> dict[AuthorId, float
     """
     if not tables:
         raise DataError("cannot average zero exposure tables")
-    ids, codes, values, bounds = _stack(tables)
-    authors, codes = _authors(ids, codes)
-    return dict(zip(authors, group_exposures(codes, values, bounds, len(authors))[0]))
+    authors, positions, values, bounds = _stack(tables)
+    return dict(zip(authors, group_exposures(positions, values, bounds, len(authors))[0]))
 
 
 def exposure_share(

@@ -1265,13 +1265,17 @@ class AuthorInfo:
 
 
 def read_authors(path: str | Path) -> dict[AuthorId, AuthorInfo]:
-    """Read an author roster written by :func:`write_authors`."""
+    """Read an author roster written by :func:`write_authors`. An id
+    listed twice raises :class:`ParseError` naming the line of its
+    repeat."""
     path = Path(path)
     if not path.exists():
         raise DataError(f"author roster not found: {path}")
     out: dict[AuthorId, AuthorInfo] = {}
     with closing(_records(path, "author roster", AUTHOR_FIELDS)) as records:
         for line, row in records:
+            if row[0] in out:
+                raise ParseError(f"repeated author id {row[0]!r}", path=str(path), line=line)
             try:
                 out[row[0]] = AuthorInfo(
                     lean=float(row[1]),

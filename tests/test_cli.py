@@ -212,6 +212,16 @@ class TestIngest:
         assert f"author roster is not a file: {tmp_path}" in err
         assert not out.exists() or not any(out.iterdir())
 
+    def test_repeated_roster_id(self, ws, tmp_path, capsys):
+        roster = tmp_path / "authors.csv"
+        header, first, *rest = ws["authors"].read_text().splitlines()
+        roster.write_text("\n".join([header, first, *rest, first]) + "\n")
+        out = tmp_path / "out"
+        rc, _, err = run(capsys, "report", "--input", str(ws["log"]), "--authors", str(roster), "--out-dir", str(out))
+        assert rc == 3
+        assert f"repeated author id {first.split(',')[0]!r} [{roster}:{len(rest) + 3}]" in err
+        assert "Traceback" not in err
+
     def test_unreadable_input(self, ws, monkeypatch, capsys):
         def denied(self, *args, **kwargs):
             raise PermissionError(13, "Permission denied", str(self))
@@ -564,6 +574,22 @@ class TestAmplify:
         n_full = len(list(csv.DictReader(full.open())))
         assert n_small == 3
         assert n_full > 50  # every observed author, beyond the default cap
+
+    def test_all_writes_every_observed_author_once(self, ws, tmp_path, capsys):
+        # one row per distinct author in the left and balanced tables; an
+        # author's table entry does not depend on the decay weights
+        path = tmp_path / "amp.csv"
+        rc, _, _ = run(capsys, "amplify", "--input", str(ws["log"]), "--partisan", "left", "--all", "--out", str(path))
+        assert rc == 0
+        monitors = {}
+        for s in feedaudit.read_sessions(ws["log"]).sessions:
+            if s.group.value in ("left", "balanced"):
+                monitors.setdefault(s.monitor_id, []).append(s)
+        model = feedaudit.calibrate(50)
+        observed = set().union(*(feedaudit.build_exposure_table(m, model).entries for m in monitors.values()))
+        written = [r["author_id"] for r in csv.DictReader(path.open())]
+        assert len(written) == len(observed)
+        assert set(written) == observed
 
     def test_alpha_flag(self, ws, tmp_path, capsys):
         # top-5 p-values on this corpus are {1/3, 2/3, 1}: alpha=0.5 flags

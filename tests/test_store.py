@@ -1800,6 +1800,19 @@ class TestAuthorsRoster:
         ])
         assert path.read_bytes() == want.getvalue().encode()
 
+    def test_repeated_id(self, tmp_path):
+        # the repeat of a1 is on physical line 5: the id before it holds
+        # a line break
+        path = tmp_path / "authors.csv"
+        path.write_text(
+            'author_id,lean,popularity,post_rate,lean_label\n'
+            'a1,0.5,1,2,right\n"b\nc",0,1,2,unknown\na1,-0.5,1,2,left\n'
+        )
+        with pytest.raises(ParseError, match="repeated author id 'a1'") as err:
+            read_authors(path)
+        assert err.value.line == 5
+        assert str(err.value).endswith(":5]")
+
     def test_error_line_counts_quoted_line_breaks(self, tmp_path):
         # the bad lean is on physical line 4: the id before it holds a
         # line break
