@@ -9,22 +9,24 @@ exposure math never depends on them.
 Sessions in bulk are stored as columns in one :class:`SessionBatch`
 (struct of arrays): per row an ``int32`` author code, displayed-author
 code and rank and a ``uint8`` flag mask, per session its metadata, and
-CSR offsets marking where each session's rows start. The log reader and
-the simulator fill a batch through :class:`BatchBuilder`, and the
-analysis kernels read its columns through :func:`batch_of`. The
-records they hand out are views of one session of the batch: a view
-knows its metadata and length, and builds its tuple of
-:class:`TimelineEntry` only when ``entries`` is read.
+CSR offsets marking where each session's rows start. The log reader
+fills a batch through :class:`BatchBuilder`, which also carries the
+half of a split read from its worker to the parent, and the analysis
+kernels read its columns through :func:`batch_of`. The records they
+hand out are views of one session of the batch: a view knows its
+metadata and length, and builds its tuple of :class:`TimelineEntry`
+only when ``entries`` is read.
 """
 
 from __future__ import annotations
 
+import pickle
 from array import array
 from dataclasses import FrozenInstanceError, dataclass, field
 from datetime import datetime, timezone
 from enum import Enum
-from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property, partial
+from typing import BinaryIO, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -277,17 +279,6 @@ class SessionBatch:
         shift = starts - (np.cumsum(lengths) - lengths)
         return np.repeat(shift, lengths) + np.arange(int(lengths.sum()))
 
-    def part(self, start: int, stop: int) -> SessionBatch:
-        """Sessions ``start:stop`` as a batch of their own, with no ids:
-        its author codes are still this batch's."""
-        first = self.offsets[start]
-        rows = slice(first, self.offsets[stop])
-        return SessionBatch(
-            (), self.author[rows], self.shown[rows], self.rank[rows], self.flags[rows], self.tweet_ends[rows],
-            self.offsets[start : stop + 1] - first,
-            *(c[start:stop] for c in (self.tweet_text, self.session_id, self.monitor_id, self.captured_at, self.group)),
-        )
-
     def columns(self, index: int) -> tuple[list, list, list, list, list[int]]:
         """Session ``index`` as the five columns of
         :meth:`SessionRecord.columns`, as lists of plain values."""
@@ -375,22 +366,41 @@ class BatchBuilder:
         for column, value in zip(self._sessions, (session_id, monitor_id, captured_at, group, tweet_text)):
             column.append(value)
 
-    def extend(self, batch: SessionBatch, codes: np.ndarray) -> None:
-        """Append every session of ``batch``; ``codes`` maps its author
-        codes to this builder's."""
+    def send(self, fh: BinaryIO, head: object) -> None:
+        """Write ``head``, the per-session lists and the row count as one
+        pickle, then the row columns and the offsets past the first raw,
+        in the order :meth:`receive` appends them."""
+        pickle.dump((head, self._sessions, len(self._flags)), fh, pickle.HIGHEST_PROTOCOL)
+        for buffer in (self._author, self._shown, self._rank, self._flags, self._tweet_ends):
+            fh.write(buffer)
+        fh.write(memoryview(self._offsets)[1:])
+
+    def receive(self, fh: BinaryIO, sessions: Sequence[list], rows: int, codes: np.ndarray, block: int) -> None:
+        """Append the sessions that :meth:`send` wrote to ``fh``, once its
+        pickle has given their per-session lists and row count: each
+        column is read in pieces of at most ``block`` bytes, its author
+        codes mapped through ``codes`` to this builder's and its offsets
+        shifted past the rows already here.
+        Raises EOFError when ``fh`` ends first."""
         base = len(self._flags)  # the rows before these
-        for buffer, values in (
-            (self._author, codes[batch.author]),
-            (self._shown, codes[batch.shown]),
-            (self._rank, batch.rank),
-            (self._flags, batch.flags),
-            (self._tweet_ends, batch.tweet_ends),
-            (self._offsets, batch.offsets[1:] + base),
+        for buffer, n, convert in (
+            (self._author, rows, codes.take),
+            (self._shown, rows, codes.take),
+            (self._rank, rows, None),
+            (self._flags, rows, None),
+            (self._tweet_ends, rows, None),
+            (self._offsets, len(sessions[0]), partial(np.add, base)),
         ):
-            buffer.frombytes(values.tobytes())
-        for column, values in zip(
-            self._sessions, (batch.session_id, batch.monitor_id, batch.captured_at, batch.group, batch.tweet_text)
-        ):
+            step = block // buffer.itemsize
+            for start in range(0, n, step):
+                size = min(step, n - start) * buffer.itemsize
+                data = fh.read(size)
+                if len(data) < size:
+                    raise EOFError(f"{len(data)} of {size} bytes")
+                if convert is not None:
+                    data = convert(np.frombuffer(data, buffer.typecode)).view(np.uint8)  # frombytes takes bytes
+                buffer.frombytes(data)
+        for column, values in zip(self._sessions, sessions):
             column.extend(values)
 
     def build(self, ids: Sequence[AuthorId]) -> SessionBatch:

@@ -65,9 +65,12 @@ record boundaries are resolved at the cuts (Muehlbauer et al., "Instant
 Loading for Main Memory Databases", PVLDB 2013). The log is cut near its
 middle where a session starts, and a forked worker runs the block
 tokenizer from the cut to the end while this process runs it up to the
-cut; the worker sends what it read back in messages of bounded size and
-they are appended to the batch here. The cut is where the block
-tokenizer finds a session to start, in a window of the log. The
+cut. The cut is where the block tokenizer finds a session to start, in a
+window of the log. The worker sends back one pickle of its counts,
+session ids, author ids, violations and per-session fields, then the
+columns of its batch raw, as the simulator's worker does; this process
+appends each column to its batch straight from the pipe, in pieces of at
+most ``_BLOCK_BYTES``, so it never holds a second copy of them. The
 fallback gives what a read in one process would: the worker is killed
 and the row loop reads the log when this process's half needs it, when
 the worker's half is not plain, a session of it raised or it holds a
@@ -89,7 +92,7 @@ from contextlib import closing, contextmanager, suppress
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
-from itertools import chain, groupby
+from itertools import groupby
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, BinaryIO, Callable, Iterable, Iterator, Mapping, Sequence, TextIO
@@ -441,9 +444,6 @@ _FIELD_BYTES = 64
 #: fast in one process as in two, a 4 MB log 20% faster in two (medians
 #: of 12 first reads in new processes).
 _SPLIT_BYTES = 4 << 20
-#: Items in each message from the worker: session ids, author ids,
-#: violations, or the rows of whole sessions.
-_PART = 4096
 #: Bytes a worker's pipe holds where Linux lets it grow past its default
 #: 64 KB, so that the worker stops less often on a full pipe: with 1 MB a
 #: split simulation of 1,920 sessions of 100 rows took 168 ms against
@@ -633,29 +633,6 @@ def _forked(work: Callable[[BinaryIO], None]) -> Iterator[BinaryIO]:
             os.waitpid(pid, 0)
 
 
-def _send_batch(batch: SessionBatch, out: BinaryIO) -> None:
-    """Send the sessions of ``batch`` to :func:`_receive_batch` through
-    ``out``: pickles of whole sessions of at most ``_PART`` rows, or of
-    one longer session, and then None."""
-    dump = partial(pickle.dump, file=out, protocol=pickle.HIGHEST_PROTOCOL)
-    start = 0
-    while start < len(batch):
-        stop = max(start + 1, int(np.searchsorted(batch.offsets, batch.offsets[start] + _PART, "right")) - 1)
-        dump(batch.part(start, stop))
-        start = stop
-    dump(None)
-
-
-def _receive_batch(results: BinaryIO, builder: BatchBuilder, codes: np.ndarray) -> None:
-    """Append to ``builder`` the sessions that :func:`_send_batch` sent
-    through ``results``, each part as it arrives; ``codes`` maps the
-    sender's author codes to the builder's. Raises EOFError or
-    pickle.UnpicklingError when the sender stopped before the None that
-    ends them, with the parts before that appended."""
-    for part in iter(partial(pickle.load, results), None):
-        builder.extend(part, codes)
-
-
 def read_sessions(
     path: str | Path,
     *,
@@ -714,7 +691,9 @@ def read_sessions(
     lines from the line feeds before the cut, and this process reads up
     to the cut and then takes in the worker's counts, violations, session
     ids, author ids (coded anew in the worker's order of first
-    appearance) and sessions. The worker is killed and the row loop reads
+    appearance) and sessions: one pickle, then the worker's columns raw,
+    each appended to the batch straight from the pipe in pieces of at
+    most ``_BLOCK_BYTES``. The worker is killed and the row loop reads
     the log when this process's half needs it, when the worker's half is
     not plain, a session of it raised or it holds a session id this half
     already holds, and when the worker dies before it has sent
@@ -870,7 +849,7 @@ class _Ingest:
                 try:
                     return self.merge(results)
                 except (EOFError, pickle.UnpicklingError):
-                    return False  # the worker died; what it sent may be cut short
+                    return False  # the worker's half needs the row loop, or the worker died
 
     def span(self, fh: BinaryIO, line: int, stop: int | None = None) -> bool:
         """Ingest the lines of ``fh`` from where it is to byte ``stop``, or
@@ -904,33 +883,30 @@ class _Ingest:
 
     def work(self, cut: int, out: BinaryIO) -> None:
         """In the worker, a fork of this state before it ingested anything:
-        ingest the log from byte ``cut`` to its end and send the outcome to
-        :meth:`merge`, in pickles of at most ``_PART`` items each."""
+        ingest the log from byte ``cut`` to its end and, when that got there,
+        send the outcome to :meth:`merge` through
+        :meth:`~feedaudit.model.BatchBuilder.send`: one pickle of the
+        counts, session ids, author ids in code order, violations and the
+        batch's per-session lists, then the batch's columns raw. A half that
+        needs the row loop sends nothing, as a worker that died sends no
+        more."""
         with self.path.open("rb") as fh:
             line = 1 + sum(fh.read(min(_BLOCK_BYTES, cut - k)).count(b"\n") for k in range(0, cut, _BLOCK_BYTES))
             ok = fh.tell() == cut and self.span(fh, line)
-        dump = partial(pickle.dump, file=out, protocol=pickle.HIGHEST_PROTOCOL)
-        dump(ok)
-        if not ok:
-            return
-        dump((self.total, self.filtered, self.skipped))
-        for items in (list(self.seen_ids), list(self.code), list(self.violations.items())):
-            for k in range(0, len(items), _PART):
-                dump(items[k : k + _PART])
-            dump([])
-        _send_batch(self.batch.build(()), out)
+        if ok:
+            self.batch.send(out, (self.total, self.filtered, self.skipped, self.seen_ids, [*self.code], self.violations))
 
     def merge(self, results: BinaryIO) -> bool:
         """Add what the worker sent to this state, which holds the log up
-        to the cut. Returns False when the row loop must read the log: a
-        block of the worker's was not plain or a session raised, or it
+        to the cut: the counts, ids and violations of its pickle, then its
+        columns, which :meth:`~feedaudit.model.BatchBuilder.receive`
+        appends to the batch straight from ``results`` with the worker's
+        author codes mapped to this state's. Returns False when the worker
         ingested a session id seen here, whose later copy the serial read
-        names a duplicate."""
-        load = partial(pickle.load, results)
-        if not load():
-            return False
-        total, filtered, skipped = load()
-        seen, ids, violations = (list(chain.from_iterable(iter(load, []))) for _ in range(3))
+        names a duplicate, so the row loop must read the log. Raises
+        EOFError or pickle.UnpicklingError when the worker sent nothing, as
+        its half needs the row loop, or stopped short."""
+        (total, filtered, skipped, seen, ids, violations), sessions, rows = pickle.load(results)
         if not self.seen_ids.isdisjoint(seen):
             return False
         self.total += total
@@ -941,7 +917,7 @@ class _Ingest:
         # The worker coded its ids in order of first appearance after the
         # cut, so new ones get their codes in the serial read's order.
         codes = np.array([self.code.setdefault(a, len(self.code)) for a in ids], np.intc)
-        _receive_batch(results, self.batch, codes)
+        self.batch.receive(results, sessions, rows, codes, _BLOCK_BYTES)
         return True
 
     def block(self, buf: bytes, size: int, first_line: int, final: bool) -> tuple[int, int] | None:
@@ -1236,9 +1212,17 @@ def emit_report(
 def write_authors(
     authors: Iterable, path: str | Path, *, lean_threshold: float = 0.3
 ) -> int:
-    """Write an author roster (id, lean, popularity, post rate, label)."""
+    """Write an author roster (id, lean, popularity, post rate, label).
+    An id listed twice raises :class:`DataError` naming the first id
+    repeated, before the file is opened, as :func:`read_authors` would
+    reject the roster."""
     path = Path(path)
-    count = 0
+    authors = list(authors)
+    seen: set[AuthorId] = set()
+    for a in authors:
+        if a.id in seen:
+            raise DataError(f"repeated author id {a.id!r}")
+        seen.add(a.id)
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = _csv_writer(fh)
         writer.writerow(AUTHOR_FIELDS)
@@ -1252,8 +1236,7 @@ def write_authors(
                     lean_label(a.lean, lean_threshold),
                 )
             )
-            count += 1
-    return count
+    return len(authors)
 
 
 @dataclass(frozen=True)

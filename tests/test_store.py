@@ -220,8 +220,8 @@ class TestReadMemory:
 
     def test_transient_bounded_by_block_size_split(self, tmp_path, split):
         # The same bounds with each read split in two processes: the
-        # worker's half comes over in messages of at most _PART rows, each
-        # added to the batch as it arrives.
+        # worker's columns come over raw, each appended to the batch in
+        # pieces of at most _BLOCK_BYTES as they arrive.
         self.test_transient_bounded_by_block_size(tmp_path)
         assert len(split) == 2
 
@@ -1188,6 +1188,70 @@ def _sessions_at(lines):
     return [k for k in range(1, len(lines)) if lines[k].split(",")[0] != lines[k - 1].split(",")[0]]
 
 
+class _Recorded:
+    """The read end of the worker's pipe, recording the size of each read."""
+
+    def __init__(self, fh):
+        self.fh, self.reads = fh, []
+
+    def read(self, n=-1):
+        data = self.fh.read(n)
+        self.reads.append(len(data))
+        return data
+
+    def readline(self):
+        line = self.fh.readline()
+        self.reads.append(len(line))
+        return line
+
+
+#: The columns the worker sends after its pickle, in order, and the bytes
+#: each takes per row (per session for the offsets).
+_COLUMNS = {"author": 4, "shown": 4, "rank": 4, "flags": 1, "tweet_ends": 8, "offsets": 8}
+
+
+def _received(path, block=None, **kw):
+    """A split read of ``path`` (see :func:`_split_read`) and what came
+    through the worker's pipe: the pickles loaded, the bytes of the first,
+    the rows and sessions it gives, the size of each read after it and
+    what was left in the pipe once the merge was done. With ``block``,
+    the merge runs with ``_BLOCK_BYTES`` set to it."""
+    merge, load = store._Ingest.merge, pickle.load
+    stream = {"loads": 0}
+
+    def loaded(fh):
+        message = load(fh)
+        stream["loads"] += 1
+        stream["pickle"], stream["pickle_reads"] = sum(fh.reads), len(fh.reads)
+        _, sessions, stream["rows"] = message
+        stream["sessions"] = len(sessions[0])
+        return message
+
+    def recorded(self, results):
+        fh = _Recorded(results)
+        with pytest.MonkeyPatch.context() as m:
+            if block is not None:
+                m.setattr(store, "_BLOCK_BYTES", block)
+            merged = merge(self, fh)
+        stream["reads"] = fh.reads[stream["pickle_reads"] :]
+        stream["rest"] = results.read()
+        return merged
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(store._Ingest, "merge", recorded)
+        m.setattr(pickle, "load", loaded)
+        return _split_read(path, **kw), stream
+
+
+def _segments(stream):
+    """Where the worker's pickle and each of its columns start and stop in
+    what it sends."""
+    sizes = [stream["pickle"]]
+    sizes += [n * stream["sessions" if name == "offsets" else "rows"] for name, n in _COLUMNS.items()]
+    stops = np.cumsum(sizes).tolist()
+    return dict(zip(["header", *_COLUMNS], zip([0, *stops], stops)))
+
+
 class TestSplitRead:
     """read_sessions split at a session boundary between two processes,
     against the reference reader and the serial read. In the simulated
@@ -1334,38 +1398,53 @@ class TestSplitRead:
         assert list(res[5].values()) == [(f"line {row + 1}: inconsistent session header fields",)]
         assert split
 
-    @pytest.mark.parametrize("limit", [0, 40, 400, 4000, 40_000])
-    def test_worker_cut_short(self, ingest_log, tmp_path, monkeypatch, split, limit):
-        # the worker dies after sending ``limit`` bytes: the log is read
-        # again from its first line, as when a block is not plain
-        work = store._Ingest.work
+    @pytest.mark.parametrize("where", [0, 40, 400, 4000, 40_000, "header", *_COLUMNS])
+    def test_worker_cut_short(self, ingest_log, tmp_path, monkeypatch, split, where):
+        # the worker dies after sending ``where`` bytes, or half way through
+        # its pickle or one of its six columns, 3 bytes past a multiple of 8
+        # and so inside a value of any column: unless it sent everything,
+        # the row loop reads the log again from its first line, as when a
+        # block is not plain
+        work, row_loop = store._Ingest.work, store._Ingest.row_loop
+        loops = []
 
         class CutShort:
-            def __init__(self, out):
+            def __init__(self, out, limit):
                 self.out, self.left = out, limit
 
             def write(self, data):
+                data = memoryview(data).cast("B")
                 self.out.write(data[: self.left])
                 self.left -= len(data)
                 if self.left < 0:
                     raise OSError("cut short")
 
-        monkeypatch.setattr(store._Ingest, "work", lambda self, cut, out: work(self, cut, CutShort(out)))
-        monkeypatch.setattr(store, "_PART", 50)
         lines = list(ingest_log["lines"])
         _set(lines, _sessions_at(lines)[13] + 4, 1, "right-999")
         path = tmp_path / "log.csv"
         path.write_text("\n".join(lines) + "\n")
+        cuts = 0
         for kw in ({}, {"follows": ingest_log["follows"]}):
-            assert _split_read(path, **kw) == _outcome(reference_read, path, **kw), kw
+            parts = _segments(_received(path, **kw)[1])
+            if isinstance(where, int):
+                limit = where
+            else:
+                start, stop = parts[where]
+                limit = start + (stop - start) // 16 * 8 + 3
+            cuts += limit < parts["offsets"][1]
+            with monkeypatch.context() as m:
+                m.setattr(store._Ingest, "work", lambda self, cut, out: work(self, cut, CutShort(out, limit)))
+                m.setattr(store._Ingest, "row_loop", lambda self: loops.append(1) or row_loop(self))
+                assert _split_read(path, **kw) == _outcome(reference_read, path, **kw), kw
+        assert len(loops) == cuts == (0 if where == 40_000 else 2)
         assert split
 
     @pytest.mark.parametrize("error", [RuntimeError, KeyboardInterrupt])
     def test_parent_raises_after_the_fork(self, ingest_log, tmp_path, monkeypatch, split, error):
-        def fail(self, batch, codes):
+        def fail(self, *args):
             raise error("merge failed")
 
-        monkeypatch.setattr(store.BatchBuilder, "extend", fail)
+        monkeypatch.setattr(store.BatchBuilder, "receive", fail)
         path = tmp_path / "log.csv"
         path.write_text("\n".join(ingest_log["lines"]) + "\n")
         with pytest.raises(error, match="merge failed"):
@@ -1395,29 +1474,25 @@ class TestSplitRead:
         assert time.monotonic() - started < 30
         assert split
 
-    def test_messages_of_bounded_size(self, tmp_path, monkeypatch, split):
+    def test_half_as_one_pickle_and_raw_columns(self, tmp_path, split):
         # the worker's half of the 1-day log (20,800 rows in sessions of 500
-        # to 700) comes over in messages of at most 1,000 rows or items
+        # to 700) comes over as one pickle and then exactly the bytes of its
+        # six columns, 21 a row and 8 a session, each read in pieces of at
+        # most _BLOCK_BYTES
         world = build_world(seed=7)
         path = tmp_path / "log.csv"
         write_sessions(run_fleet(world, FleetConfig(monitors_per_group=2, duration_days=1), RankerParams(seed=7)), path)
-        monkeypatch.setattr(store, "_PART", 1000)
-        lists, parts = [], []
-        load = pickle.load
-
-        def measured(fh):
-            message = load(fh)
-            if isinstance(message, list):
-                lists.append(len(message))
-            elif isinstance(message, store.SessionBatch):
-                parts.append((len(message), len(message.flags)))
-            return message
-
-        monkeypatch.setattr(pickle, "load", measured)
-        res = _split_read(path)
+        res, stream = _received(path, block=1000)
         assert res == _outcome(reference_read, path)
-        assert max(lists) <= 1000 and max(rows for _, rows in parts) <= 1000
-        assert len(parts) >= 8 and sum(rows for _, rows in parts) == 20_800 - _cut_line(path) + 2
+        lines = path.read_text().split("\n")[_cut_line(path) - 1 : -1]
+        rows, sessions = len(lines), len({line.split(",")[0] for line in lines})
+        assert (stream["loads"], stream["rows"], stream["sessions"]) == (1, rows, sessions)
+        want = []
+        for name, size in _COLUMNS.items():
+            left, piece = size * (sessions if name == "offsets" else rows), 1000 // size * size
+            want += [piece] * (left // piece) + [left % piece] * (left % piece > 0)
+        assert stream["reads"] == want and sum(want) == 21 * rows + 8 * sessions
+        assert stream["rest"] == b""
 
     def test_unflushed_output_written_once(self, ingest_log, tmp_path):
         path = tmp_path / "log.csv"
@@ -1812,6 +1887,15 @@ class TestAuthorsRoster:
             read_authors(path)
         assert err.value.line == 5
         assert str(err.value).endswith(":5]")
+
+    def test_repeated_id_not_written(self, tmp_path):
+        # a roster that read_authors would reject is not written: the
+        # first id listed again is named, and no file is left
+        path = tmp_path / "authors.csv"
+        authors = [self.author("a", 0.5), self.author("b", 0.0), self.author("b", 0.1), self.author("a", -0.5)]
+        with pytest.raises(DataError, match="repeated author id 'b'"):
+            write_authors(iter(authors), path)
+        assert not path.exists()
 
     def test_error_line_counts_quoted_line_breaks(self, tmp_path):
         # the bad lean is on physical line 4: the id before it holds a
